@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -45,19 +44,6 @@ def _load_weights_file(path: str) -> WeightSequence:
             if line:
                 values.append(float(line))
     return WeightSequence(np.array(values))
-
-
-def _resolve_threads() -> int:
-    raw = os.environ.get("LORENTZ_EMBED_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"LORENTZ_EMBED_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"LORENTZ_EMBED_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,7 +150,7 @@ def _emit(config: dict, ledger: ConstantLedger, payload: dict):
     resolved = {k: v for k, v in sorted(config.items())
                 if k not in ("output",) and v is not None}
     report = {"config": resolved, "ledger": ledger.to_dict(), "result": payload}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     out = config.get("output")
     if out:
         with open(out, "w") as fh:
@@ -284,7 +270,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _resolve_threads()
         config = _merge_config(args)
         ledger = _get_ledger(config)
         return _COMMANDS[args.command](config, ledger)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .embedding import GaussianMatrix, measure_distortion, sample_gaussian_matrix, test_directions
+from .embedding import sample_gaussian_matrix, test_directions
 from .norms import lipschitz_constant, lorentz_norm_columns, psi_columns
 from .params import LorentzParams, power_params
 from .regimes import corollary_dimension_rp, orderorder_SR
@@ -21,6 +21,7 @@ from .streams import RandomStream
 TRIAL_CHUNK = 200
 DIRECTION_CHUNK = 2000
 BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_BLOCK = 50  # resamples drawn and reduced at a time, to bound memory
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -53,55 +54,80 @@ class EstimatorResult:
                            "stream_id": self.stream.stream_id}}
 
 
-def _sample_statistic(params: LorentzParams, samples: int, stream: RandomStream,
-                      stat) -> np.ndarray:
-    """Evaluate a columnwise statistic on i.i.d. standard normal vectors, chunked."""
-    n = params.n
-    out = np.empty(samples)
-    pos = 0
-    chunk_index = 0
-    while pos < samples:
-        m = min(TRIAL_CHUNK, samples - pos)
+def _normal_chunks(n: int, samples: int, stream: RandomStream):
+    """i.i.d. standard normal (n, m) chunks of TRIAL_CHUNK columns, samples
+    columns in all; chunk c is drawn from stream.substream(c)."""
+    for chunk_index, start in enumerate(range(0, samples, TRIAL_CHUNK)):
         rng = stream.substream(chunk_index).generator()
-        X = rng.standard_normal((n, m))
-        out[pos:pos + m] = stat(X)
-        pos += m
-        chunk_index += 1
-    return out
+        yield rng.standard_normal((n, min(TRIAL_CHUNK, samples - start)))
+
+
+def _exceedance_rates(values: np.ndarray, thresholds) -> tuple[tuple, tuple, tuple]:
+    """Per threshold: the share of values above it and its Wilson interval."""
+    counts = [int(np.sum(values > th)) for th in thresholds]
+    intervals = [wilson_interval(c, values.size) for c in counts]
+    return (tuple(c / values.size for c in counts),
+            tuple(lo for lo, _ in intervals), tuple(hi for _, hi in intervals))
 
 
 def _bootstrap_median_ci(values: np.ndarray, stream: RandomStream) -> tuple[float, float]:
+    """Percentile 95% CI of the median over BOOTSTRAP_RESAMPLES resamples.
+
+    The resample indices are drawn BOOTSTRAP_BLOCK rows at a time from one
+    generator, which yields the same indices as a single full-size draw.
+    """
     rng = stream.generator()
     m = values.size
-    idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
-    medians = np.median(values[idx], axis=1)
+    medians = []
+    for start in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK):
+        rows = min(BOOTSTRAP_BLOCK, BOOTSTRAP_RESAMPLES - start)
+        medians.append(np.median(values[rng.integers(0, m, size=(rows, m))], axis=1))
+    medians = np.concatenate(medians)
     return float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975))
+
+
+def _estimate_median(columns_fn, params: LorentzParams, samples: int,
+                     stream: RandomStream) -> EstimatorResult:
+    if samples < 100:
+        raise ValueError("samples must be at least 100")
+    values = np.concatenate([columns_fn(params, X)
+                             for X in _normal_chunks(params.n, samples, stream)])
+    point = float(np.median(values))
+    lo, hi = _bootstrap_median_ci(values, stream.substream(10 ** 6))
+    return EstimatorResult(point=point, ci_low=min(lo, point), ci_high=max(hi, point),
+                           samples=samples, stream=stream)
 
 
 def estimate_median_norm(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
     """Empirical median of |X|_{w,p} with a percentile-bootstrap 95% CI."""
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
-    values = _sample_statistic(params, samples, stream,
-                               lambda X: lorentz_norm_columns(params, X))
-    point = float(np.median(values))
-    lo, hi = _bootstrap_median_ci(values, stream.substream(10 ** 6))
-    lo, hi = min(lo, point), max(hi, point)
-    return EstimatorResult(point=point, ci_low=lo, ci_high=hi,
-                           samples=samples, stream=stream)
+    return _estimate_median(lorentz_norm_columns, params, samples, stream)
 
 
 def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
     """Empirical median of psi(X) = sum_i w_i X_[i]^p with a bootstrap CI."""
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
-    values = _sample_statistic(params, samples, stream,
-                               lambda X: psi_columns(params, X))
-    point = float(np.median(values))
-    lo, hi = _bootstrap_median_ci(values, stream.substream(10 ** 6))
-    lo, hi = min(lo, point), max(hi, point)
-    return EstimatorResult(point=point, ci_low=lo, ci_high=hi,
-                           samples=samples, stream=stream)
+    return _estimate_median(psi_columns, params, samples, stream)
+
+
+def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
+                    stream: RandomStream, deviation, matrix_factory=None) -> np.ndarray:
+    """Per trial, the max of deviation(|G theta|_{w,p}) over sampled directions.
+
+    The directions come from stream.substream(1), trial j's matrix from
+    stream.substream(2 + j); images are formed DIRECTION_CHUNK directions at a
+    time.  matrix_factory, if given, replaces the Gaussian sampler.
+    """
+    factory = matrix_factory or sample_gaussian_matrix
+    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
+    sups = np.empty(trials)
+    for trial in range(trials):
+        G = factory(params.n, k, stream.substream(2 + trial))
+        sup = 0.0
+        for start in range(0, directions, DIRECTION_CHUNK):
+            block = dirs[:, start:start + DIRECTION_CHUNK]
+            norms = lorentz_norm_columns(params, G.entries @ block)
+            sup = max(sup, float(np.max(deviation(norms))))
+        sups[trial] = sup
+    return sups
 
 
 @dataclass(frozen=True)
@@ -129,19 +155,12 @@ def empirical_tail(statistic, n: int, threshold_fn, t_grid, trials: int,
     """
     if trials < 1000:
         raise ValueError("trials must be at least 1000")
-    params = power_params(0.0, 2.0, n)  # only carries n for the sampler
-    values = _sample_statistic(params, trials, stream, statistic)
+    values = np.concatenate([statistic(X) for X in _normal_chunks(n, trials, stream)])
     center = float(np.median(values))
     devs = np.abs(values - center)
-    rates, lows, highs = [], [], []
-    for t in t_grid:
-        k = int(np.sum(devs > threshold_fn(t)))
-        lo, hi = wilson_interval(k, trials)
-        rates.append(k / trials)
-        lows.append(lo)
-        highs.append(hi)
-    return TailReport(tuple(float(t) for t in t_grid), tuple(rates), tuple(lows),
-                      tuple(highs), trials, center)
+    rates, lows, highs = _exceedance_rates(devs, [threshold_fn(t) for t in t_grid])
+    return TailReport(tuple(float(t) for t in t_grid), rates, lows, highs,
+                      trials, center)
 
 
 @dataclass(frozen=True)
@@ -172,31 +191,15 @@ def verify_schechtman_uniform(params: LorentzParams, k: int, t_grid, trials: int
     """
     if k > 8:
         raise ValueError("k must be at most 8 for dense direction sampling")
-    n = params.n
     lip = lipschitz_constant(params)
     center = estimate_median_norm(params, max(10 ** 4, trials), stream.substream(0)).point
-    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
-    sups = np.empty(trials)
-    for trial in range(trials):
-        G = sample_gaussian_matrix(n, k, stream.substream(2 + trial))
-        sup = 0.0
-        for start in range(0, directions, DIRECTION_CHUNK):
-            block = dirs[:, start:start + DIRECTION_CHUNK]
-            norms = lorentz_norm_columns(params, G.entries @ block)
-            sup = max(sup, float(np.max(np.abs(norms - center))))
-        sups[trial] = sup
-    rates, lows, highs, gates = [], [], [], []
+    sups = _sup_deviations(params, k, trials, directions, stream,
+                           lambda norms: np.abs(norms - center))
+    rates, lows, highs = _exceedance_rates(sups, [t * lip for t in t_grid])
     c_gate = ledger.get("c_dim")
-    for t in t_grid:
-        cnt = int(np.sum(sups > t * lip))
-        lo, hi = wilson_interval(cnt, trials)
-        rates.append(cnt / trials)
-        lows.append(lo)
-        highs.append(hi)
-        gates.append(bool(k <= c_gate * t ** 2))
-    return UniformTailReport(tuple(float(t) for t in t_grid), tuple(rates),
-                             tuple(lows), tuple(highs), trials, center, k,
-                             tuple(gates))
+    gates = tuple(bool(k <= c_gate * t ** 2) for t in t_grid)
+    return UniformTailReport(tuple(float(t) for t in t_grid), rates, lows, highs,
+                             trials, center, k, gates)
 
 
 @dataclass(frozen=True)
@@ -237,19 +240,10 @@ def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
 
     holds = 0
     violations = 0
-    pos = 0
-    chunk_index = 0
-    while pos < trials:
-        m = min(TRIAL_CHUNK, trials - pos)
-        rng = stream.substream(chunk_index).generator()
-        X = rng.standard_normal((n, m))
-        sharp = sharp_norm_columns(spec, X)
-        grad = grad_functional_columns(r, p, X)
-        within = sharp <= S
+    for X in _normal_chunks(n, trials, stream):
+        within = sharp_norm_columns(spec, X) <= S
         holds += int(np.sum(within))
-        violations += int(np.sum(within & (grad > R)))
-        pos += m
-        chunk_index += 1
+        violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
     lo, hi = wilson_interval(holds, trials)
     return OrderOrderVerification(case=case, prob_S_holds=holds / trials,
                                   ci_low=lo, ci_high=hi,
@@ -290,23 +284,10 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    n = params.n
     if M is None:
         M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
-    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
-    max_devs = np.empty(trials)
-    for trial in range(trials):
-        sub = stream.substream(2 + trial)
-        if matrix_factory is None:
-            G = sample_gaussian_matrix(n, k, sub)
-        else:
-            G = matrix_factory(n, k, sub)
-        worst = 0.0
-        for start in range(0, directions, DIRECTION_CHUNK):
-            block = dirs[:, start:start + DIRECTION_CHUNK]
-            norms = lorentz_norm_columns(params, G.entries @ block)
-            worst = max(worst, float(np.max(np.abs(norms / M - 1.0))))
-        max_devs[trial] = worst
+    max_devs = _sup_deviations(params, k, trials, directions, stream,
+                               lambda norms: np.abs(norms / M - 1.0), matrix_factory)
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
@@ -546,9 +527,13 @@ class ScalingProbeResult:
     saturated: bool = False
 
     def to_dict(self) -> dict:
+        def finite_or_none(v):  # JSON has no NaN; `inconclusive` says why
+            return None if math.isnan(v) else v
+
         return {"eps_grid": list(self.eps_grid), "k_stars": list(self.k_stars),
-                "slope": self.slope, "slope_ci_low": self.slope_ci_low,
-                "slope_ci_high": self.slope_ci_high,
+                "slope": finite_or_none(self.slope),
+                "slope_ci_low": finite_or_none(self.slope_ci_low),
+                "slope_ci_high": finite_or_none(self.slope_ci_high),
                 "inconclusive": self.inconclusive,
                 "saturated": self.saturated}
 

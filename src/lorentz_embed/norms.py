@@ -40,45 +40,49 @@ def _check_dim(params: LorentzParams, x: np.ndarray):
         raise ValueError(f"dimension mismatch: len(x)={x.size}, params.n={params.n}")
 
 
+def _check_columns(n: int, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"expected an ({n}, m) matrix, got shape {X.shape}")
+    return X
+
+
+def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
+    """sum_i c_i X_[i]^q for each column of X, X_[i] the non-increasing
+    rearrangement of its absolute values; rows past len(coeffs) are left out.
+
+    Equal coefficients over all rows make the order irrelevant: no sort then.
+    """
+    if coeffs.size == X.shape[0] and np.all(coeffs == coeffs[0]):
+        return coeffs[0] * np.sum(np.abs(X) ** q, axis=0)
+    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
+    return coeffs @ Xs[:coeffs.size] ** q
+
+
 def lorentz_norm(params: LorentzParams, x) -> float:
     """(sum_i w_i x_[i]^p)^(1/p)."""
     x = _check_vector(x)
     _check_dim(params, x)
-    w = params.weight_values()
-    xs = np.sort(np.abs(x))[::-1]
-    return float(np.dot(w, xs ** params.p) ** (1.0 / params.p))
+    return float(lorentz_norm_columns(params, x[:, None])[0])
 
 
 def lorentz_norm_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
     """Lorentz norm of each column of an (n, m) matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != params.n:
-        raise ValueError(f"expected an ({params.n}, m) matrix, got shape {X.shape}")
-    w = params.weight_values()
-    if w[-1] == 1.0:
-        # constant weights: rearrangement does not matter, skip the sort
-        return np.sum(np.abs(X) ** params.p, axis=0) ** (1.0 / params.p)
-    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
-    return (w @ Xs ** params.p) ** (1.0 / params.p)
+    X = _check_columns(params.n, X)
+    return _power_sum(params.weight_values(), X, params.p) ** (1.0 / params.p)
 
 
 def psi(params: LorentzParams, x) -> float:
     """The potential sum_i w_i x_[i]^p = lorentz_norm(params, x)^p."""
     x = _check_vector(x)
     _check_dim(params, x)
-    w = params.weight_values()
-    xs = np.sort(np.abs(x))[::-1]
-    return float(np.dot(w, xs ** params.p))
+    return float(psi_columns(params, x[:, None])[0])
 
 
 def psi_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
     """psi of each column of an (n, m) matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != params.n:
-        raise ValueError(f"expected an ({params.n}, m) matrix, got shape {X.shape}")
-    w = params.weight_values()
-    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
-    return w @ Xs ** params.p
+    X = _check_columns(params.n, X)
+    return _power_sum(params.weight_values(), X, params.p)
 
 
 @dataclass(frozen=True)

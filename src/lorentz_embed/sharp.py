@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import _check_vector
+from .norms import _check_columns, _check_vector, _power_sum
 
 CASES = ("I", "II", "III", "IVa", "IVb")
 
@@ -27,16 +27,13 @@ P_BOUNDARY_TOL = 1e-12
 def grad_functional(r: float, p: float, x) -> float:
     """sum_i i^(-2r) x_[i]^(2(p-1)), the squared-gradient sum (up to p^2)."""
     x = _check_vector(x)
-    i = np.arange(1, x.size + 1, dtype=float)
-    xs = np.sort(np.abs(x))[::-1]
-    return float(np.sum(i ** (-2.0 * r) * xs ** (2.0 * (p - 1.0))))
+    return float(grad_functional_columns(r, p, x[:, None])[0])
 
 
 def grad_functional_columns(r: float, p: float, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     i = np.arange(1, X.shape[0] + 1, dtype=float)
-    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
-    return i ** (-2.0 * r) @ Xs ** (2.0 * (p - 1.0))
+    return _power_sum(i ** (-2.0 * r), X, 2.0 * (p - 1.0))
 
 
 def beta_weights(r: float, p: float, n: int) -> np.ndarray:
@@ -160,28 +157,17 @@ def sharp_norm(spec: SharpNormSpec, x) -> float:
     x = _check_vector(x)
     if x.size != spec.n:
         raise ValueError(f"dimension mismatch: len(x)={x.size}, spec.n={spec.n}")
-    if spec.case == "IVb":
-        return float(np.linalg.norm(x))
-    xs = np.sort(np.abs(x))[::-1]
-    if spec.case == "I":
-        q = 2.0 * (spec.p - 1.0)
-        return float(np.sum(spec.coefficients * xs ** q) ** (1.0 / q))
-    m = spec.coefficients.size
-    return float(np.dot(spec.coefficients, xs[:m]))
+    return float(sharp_norm_columns(spec, x[:, None])[0])
 
 
 def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != spec.n:
-        raise ValueError(f"expected an ({spec.n}, m) matrix, got shape {X.shape}")
+    X = _check_columns(spec.n, X)
     if spec.case == "IVb":
         return np.linalg.norm(X, axis=0)
-    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
     if spec.case == "I":
         q = 2.0 * (spec.p - 1.0)
-        return (spec.coefficients @ Xs ** q) ** (1.0 / q)
-    m = spec.coefficients.size
-    return spec.coefficients @ Xs[:m, :]
+        return _power_sum(spec.coefficients, X, q) ** (1.0 / q)
+    return _power_sum(spec.coefficients, X, 1.0)
 
 
 def chain_factor(spec: SharpNormSpec) -> float:

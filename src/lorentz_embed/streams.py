@@ -1,4 +1,4 @@
-"""Reproducible random streams keyed by (master_seed, stream_id)."""
+"""Reproducible random streams keyed by (master_seed, stream_id, path)."""
 
 from __future__ import annotations
 
@@ -11,13 +11,15 @@ import numpy as np
 class RandomStream:
     """A named, reproducible source of randomness.
 
-    (master_seed, stream_id) fully determines all draws.  Distinct stream ids
-    give statistically independent streams.  Substreams derive further ids so
-    parallel scheduling cannot change results.
+    (master_seed, stream_id, path) fully determines all draws: the spawn key is
+    (stream_id,) + path.  Distinct stream ids give statistically independent
+    streams.  Substreams extend the path so parallel scheduling cannot change
+    results.
     """
 
     master_seed: int
     stream_id: int = 0
+    path: tuple = ()
 
     def __post_init__(self):
         if not (0 <= self.master_seed < 2 ** 64):
@@ -26,26 +28,12 @@ class RandomStream:
             raise ValueError("stream_id must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(seq)
-
-    def substream(self, index: int) -> "RandomStream":
-        """Child stream for one trial; index becomes part of the spawn key."""
-        if index < 0:
-            raise ValueError("substream index must be nonnegative")
-        return _SubStream(self.master_seed, self.stream_id, (index,))
-
-
-@dataclass(frozen=True)
-class _SubStream(RandomStream):
-    path: tuple = ()
-
-    def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed,
                                      spawn_key=(self.stream_id,) + self.path)
         return np.random.default_rng(seq)
 
     def substream(self, index: int) -> "RandomStream":
+        """Child stream for one trial; index is appended to the path."""
         if index < 0:
             raise ValueError("substream index must be nonnegative")
-        return _SubStream(self.master_seed, self.stream_id, self.path + (index,))
+        return RandomStream(self.master_seed, self.stream_id, self.path + (index,))

@@ -1,0 +1,12 @@
+"""Naive reference for the weighted power sums behind every column kernel."""
+
+import math
+
+
+def weighted_power_sum(coeffs, x, q):
+    """sum_i c_i x_[i]^q by plain Python loops, x_[i] the i-th largest |x_j|.
+
+    Coefficients shorter than x leave the smallest entries out.
+    """
+    xs = sorted((abs(float(v)) for v in x), reverse=True)
+    return math.fsum(float(c) * v ** q for c, v in zip(coeffs, xs))

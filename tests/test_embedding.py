@@ -29,6 +29,13 @@ class TestRandomStream:
         c = s.substream(3).substream(2).generator().standard_normal(4)
         assert not np.array_equal(a, c)
 
+    def test_spawn_key_is_stream_id_then_path(self):
+        s = RandomStream(7, 2).substream(3).substream(1)
+        assert s == RandomStream(7, 2, (3, 1))
+        seq = np.random.SeedSequence(7, spawn_key=(2, 3, 1))
+        assert np.array_equal(s.generator().standard_normal(4),
+                              np.random.default_rng(seq).standard_normal(4))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)

@@ -9,6 +9,7 @@ from lorentz_embed import (RandomStream, calibrate, empirical_tail,
                            identity_injection, power_params, scaling_probe,
                            verify_embedding, verify_orderorder,
                            verify_schechtman_uniform, wilson_interval)
+from lorentz_embed import montecarlo
 from lorentz_embed.constants import DEFAULT_LEDGER
 
 # chi distribution with 100 degrees of freedom: median via the regularized
@@ -58,6 +59,18 @@ class TestMedianEstimators:
         norm = estimate_median_norm(params, 1001, RandomStream(74))
         psi = estimate_median_psi(params, 1001, RandomStream(74))
         assert psi.point == pytest.approx(norm.point ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [montecarlo.BOOTSTRAP_BLOCK, 7])
+    def test_bootstrap_blocks_match_one_shot_draw(self, block, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BOOTSTRAP_BLOCK", block)
+        values = np.random.default_rng(75).standard_normal(1001)
+        stream = RandomStream(76)
+        idx = stream.generator().integers(
+            0, values.size, size=(montecarlo.BOOTSTRAP_RESAMPLES, values.size))
+        medians = np.median(values[idx], axis=1)
+        expected = (float(np.quantile(medians, 0.025)),
+                    float(np.quantile(medians, 0.975)))
+        assert montecarlo._bootstrap_median_ci(values, stream) == expected
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from lorentz_embed import (LorentzParams, WeightSequence, lipschitz_constant,
                            lorentz_norm_columns, power_params, psi,
                            psi_columns, psi_gradient_norm, rearrange_desc,
                            sort_asc)
+from lorentz_embed.norms import _power_sum
+from oracle import weighted_power_sum
 
 finite_vectors = hnp.arrays(
     np.float64, st.integers(1, 12),
@@ -105,18 +107,23 @@ class TestLorentzNorm:
 
     def test_columns_match_scalar(self, rng):
         params = power_params(0.7, 1.3, 15)
+        w = params.weight_values()
         X = rng.standard_normal((15, 9))
         cols = lorentz_norm_columns(params, X)
         for j in range(9):
-            assert cols[j] == pytest.approx(lorentz_norm(params, X[:, j]), rel=1e-12)
+            expected = weighted_power_sum(w, X[:, j], params.p) ** (1.0 / params.p)
+            assert cols[j] == pytest.approx(expected, rel=1e-12)
+            assert lorentz_norm(params, X[:, j]) == pytest.approx(expected, rel=1e-12)
 
     def test_columns_constant_weight_fast_path(self, rng):
-        # r = 0 skips the per-column sort; must agree with the generic path
+        # r = 0 skips the per-column sort; must agree with the sorted oracle
         params = power_params(0.0, 1.7, 25)
+        w = params.weight_values()
         X = rng.standard_normal((25, 7))
         cols = lorentz_norm_columns(params, X)
         for j in range(7):
-            assert cols[j] == pytest.approx(lorentz_norm(params, X[:, j]), rel=1e-12)
+            expected = weighted_power_sum(w, X[:, j], params.p) ** (1.0 / params.p)
+            assert cols[j] == pytest.approx(expected, rel=1e-12)
 
     @given(finite_vectors, st.floats(1.0, 4.0))
     @settings(max_examples=100, deadline=None)
@@ -172,10 +179,44 @@ class TestPsi:
 
     def test_columns_match_scalar(self, rng):
         params = power_params(0.4, 2.5, 10)
+        w = params.weight_values()
         X = rng.standard_normal((10, 5))
         cols = psi_columns(params, X)
         for j in range(5):
-            assert cols[j] == pytest.approx(psi(params, X[:, j]), rel=1e-12)
+            expected = weighted_power_sum(w, X[:, j], params.p)
+            assert cols[j] == pytest.approx(expected, rel=1e-12)
+            assert psi(params, X[:, j]) == pytest.approx(expected, rel=1e-12)
+
+
+# entries with ties and zeros, kept off subnormal powers
+kernel_entries = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 2.5]),
+                           st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 30))
+    X = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 4))),
+                        elements=kernel_entries))
+    kind = draw(st.sampled_from(["constant", "power", "truncated"]))
+    length = draw(st.integers(1, n)) if kind == "truncated" else n
+    i = np.arange(1, length + 1, dtype=float)
+    if kind == "constant":
+        coeffs = np.full(n, draw(st.floats(0.1, 3.0)))
+    else:
+        coeffs = i ** (-draw(st.floats(0.01, 2.0)))
+    return coeffs, X, draw(st.floats(0.3, 4.0))
+
+
+class TestPowerSumKernel:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, case):
+        coeffs, X, q = case
+        got = _power_sum(coeffs, X, q)
+        for j in range(X.shape[1]):
+            assert got[j] == pytest.approx(weighted_power_sum(coeffs, X[:, j], q),
+                                           rel=1e-12, abs=0.0)
 
 
 class TestPsiGradient:

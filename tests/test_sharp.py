@@ -7,6 +7,7 @@ from lorentz_embed import (beta_weights, chain_factor, grad_functional,
                            make_sharp_spec, sharp_norm, sharp_norm_columns,
                            solve_A0)
 from lorentz_embed.sharp import grad_functional_columns
+from oracle import weighted_power_sum
 
 # one representative (r, p) per case, all valid at n = 10^4
 CASE_PARAMS = {
@@ -32,10 +33,13 @@ class TestGradFunctional:
 
     def test_columns_match_scalar(self, rng):
         X = rng.standard_normal((20, 6))
+        coeffs = np.arange(1, 21, dtype=float) ** (-0.8)
         cols = grad_functional_columns(0.4, 1.3, X)
         for j in range(6):
-            assert cols[j] == pytest.approx(grad_functional(0.4, 1.3, X[:, j]),
-                                            rel=1e-12)
+            expected = weighted_power_sum(coeffs, X[:, j], 0.6)
+            assert cols[j] == pytest.approx(expected, rel=1e-12)
+            assert grad_functional(0.4, 1.3, X[:, j]) == pytest.approx(expected,
+                                                                       rel=1e-12)
 
 
 class TestSharpNorm:
@@ -97,8 +101,16 @@ class TestSharpNorm:
             X = rng.standard_normal((n, 3))
             cols = sharp_norm_columns(spec, X)
             for j in range(3):
-                assert cols[j] == pytest.approx(sharp_norm(spec, X[:, j]),
-                                                rel=1e-10)
+                x = X[:, j]
+                if case == "IVb":
+                    expected = math.sqrt(weighted_power_sum(np.ones(n), x, 2.0))
+                elif case == "I":
+                    q = 2.0 * (p - 1.0)
+                    expected = weighted_power_sum(spec.coefficients, x, q) ** (1.0 / q)
+                else:
+                    expected = weighted_power_sum(spec.coefficients, x, 1.0)
+                assert cols[j] == pytest.approx(expected, rel=1e-10)
+                assert sharp_norm(spec, x) == pytest.approx(expected, rel=1e-10)
 
 
 class TestBetaWeights:
