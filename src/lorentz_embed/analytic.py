@@ -26,6 +26,13 @@ class TwoSidedBound:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def _generic_bound(shape: float, exponent: float, ledger: ConstantLedger) -> TwoSidedBound:
+    """c_bound^e * shape <= quantity <= C_bound^e * shape."""
+    c = ledger.get("c_bound") ** exponent
+    C = ledger.get("C_bound") ** exponent
+    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape, ("c_bound", "C_bound"))
+
+
 def incomplete_gamma_bounds(
     b: float,
     q: float,
@@ -40,16 +47,10 @@ def incomplete_gamma_bounds(
     if b < 0.0 or q < 0.0:
         raise ValueError("b and q must be nonnegative")
     if sign == "decay":
-        shape = min(1.0 + q, b) ** (1.0 + q)
-        c = ledger.get("c_bound") ** (1.0 + q)
-        C = ledger.get("C_bound") ** (1.0 + q)
-    elif sign == "growth":
-        shape = math.exp(b) * b ** (1.0 + q) / (1.0 + q + b)
-        c = ledger.get("c_bound")
-        C = ledger.get("C_bound")
-    else:
-        raise ValueError(f"sign must be 'decay' or 'growth', got {sign!r}")
-    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape, ("c_bound", "C_bound"))
+        return _generic_bound(min(1.0 + q, b) ** (1.0 + q), 1.0 + q, ledger)
+    if sign == "growth":
+        return _generic_bound(math.exp(b) * b ** (1.0 + q) / (1.0 + q + b), 1.0, ledger)
+    raise ValueError(f"sign must be 'decay' or 'growth', got {sign!r}")
 
 
 def power_log_sum_bounds(
@@ -73,25 +74,18 @@ def power_log_sum_bounds(
     if a < 1.0:
         shape = n ** (1.0 - a) * (1.0 + q) ** (1.0 + q) * ln ** (1.0 + q) \
             / ((1.0 - a) * ln + 1.0 + q) ** (1.0 + q)
-        c = ledger.get("c_bound") ** (1.0 + q)
-        C = ledger.get("C_bound") ** (1.0 + q)
-    else:
-        shape = ln ** (1.0 + q) / ((a - 1.0) * ln + 1.0 + q) + ln ** q
-        c = ledger.get("c_bound")
-        C = ledger.get("C_bound")
-    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape, ("c_bound", "C_bound"))
+        return _generic_bound(shape, 1.0 + q, ledger)
+    return _generic_bound(ln ** (1.0 + q) / ((a - 1.0) * ln + 1.0 + q) + ln ** q, 1.0, ledger)
+
+
+def _log_power_sum(v: np.ndarray, q: float, n: int):
+    """sum_{i=1}^n v_i (ln(n/i))^q; ln(n/n) is exactly 0 and 0^0 = 1."""
+    return np.sum(v * np.log(n / np.arange(1, n + 1, dtype=float)) ** q)
 
 
 def power_log_sum_exact(a: float, q: float, n: int) -> float:
     """Direct-summation oracle for sum_{i=1}^n i^(-a) (ln(n/i))^q with 0^0 = 1."""
-    i = np.arange(1, n + 1, dtype=float)
-    logs = np.log(n / i)
-    logs[-1] = 0.0
-    if q == 0.0:
-        powq = np.ones_like(logs)  # 0^0 = 1 at i = n
-    else:
-        powq = logs ** q
-    return float(np.sum(i ** (-a) * powq))
+    return float(_log_power_sum(np.arange(1, n + 1, dtype=float) ** (-a), q, n))
 
 
 def power_integral_bounds(
@@ -104,9 +98,7 @@ def power_integral_bounds(
     if T < 1.0:
         raise ValueError("T must be at least 1")
     lnT = math.log(T)
-    shape = (1.0 + T ** (1.0 - a)) * lnT / (1.0 + abs(1.0 - a) * lnT)
-    c, C = ledger.get("c_bound"), ledger.get("C_bound")
-    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape, ("c_bound", "C_bound"))
+    return _generic_bound((1.0 + T ** (1.0 - a)) * lnT / (1.0 + abs(1.0 - a) * lnT), 1.0, ledger)
 
 
 def power_integral_exact(a: float, T: float) -> float:
@@ -132,6 +124,23 @@ def xi1_inv_upper(s: float) -> float:
     return min(math.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
 
 
+def _uniform_orderstat_upper(n: int, i: np.ndarray, t: float, variant: str,
+                             ledger: ConstantLedger) -> np.ndarray:
+    k = n - i + 1.0
+    if variant == "bottom":
+        s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
+        inv = np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)  # xi1_inv_upper(s)
+        return 1.0 - k / (n + 1.0) * (1.0 - inv)
+    if variant == "renyi":
+        c = ledger.get("c_order")
+        expo = c * np.maximum(
+            (t + np.sqrt(np.log(i))) * np.sqrt(i) / np.sqrt(n * k),
+            (t ** 2 + np.log(i)) / k,
+        )
+        return 1.0 - (n - i) / n * np.exp(-expo)
+    raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
+
+
 def uniform_orderstat_upper(
     n: int,
     i: int,
@@ -147,19 +156,7 @@ def uniform_orderstat_upper(
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    if variant == "bottom":
-        k = n - i + 1
-        s = math.exp((-t ** 2 - 4.0 * math.log(k)) / (2.0 * k))
-        return 1.0 - k / (n + 1.0) * (1.0 - xi1_inv_upper(s))
-    if variant == "renyi":
-        c = ledger.get("c_order")
-        k = n - i + 1
-        expo = c * max(
-            (t + math.sqrt(math.log(i))) * math.sqrt(i) / math.sqrt(n * k),
-            (t ** 2 + math.log(i)) / k,
-        )
-        return 1.0 - (n - i) / n * math.exp(-expo)
-    raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
+    return float(_uniform_orderstat_upper(n, np.array([float(i)]), t, variant, ledger)[0])
 
 
 def uniform_orderstat_upper_all(
@@ -168,21 +165,8 @@ def uniform_orderstat_upper_all(
     variant: str,
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> np.ndarray:
-    """Vectorized envelope over all i = 1..n (same formulas as the scalar op)."""
-    i = np.arange(1, n + 1, dtype=float)
-    k = n - i + 1.0
-    if variant == "bottom":
-        s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
-        inv = np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
-        return 1.0 - k / (n + 1.0) * (1.0 - inv)
-    if variant == "renyi":
-        c = ledger.get("c_order")
-        expo = c * np.maximum(
-            (t + np.sqrt(np.log(i))) * np.sqrt(i) / np.sqrt(n * k),
-            (t ** 2 + np.log(i)) / k,
-        )
-        return 1.0 - (n - i) / n * np.exp(-expo)
-    raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
+    """The envelope of uniform_orderstat_upper over all i = 1..n."""
+    return _uniform_orderstat_upper(n, np.arange(1, n + 1, dtype=float), t, variant, ledger)
 
 
 def normal_orderstat_envelope(
@@ -239,10 +223,7 @@ def median_norm_shape(weights: np.ndarray, p: float, n: int) -> float:
     w = np.asarray(weights, dtype=float)
     if w.size != n:
         raise ValueError("weights length must equal n")
-    i = np.arange(1, n + 1, dtype=float)
-    logs = np.log(n / i)
-    logs[-1] = 0.0
-    return float(np.sum(w * logs ** (p / 2.0)) ** (1.0 / p))
+    return float(_log_power_sum(w, p / 2.0, n) ** (1.0 / p))
 
 
 def inverse_normal_cdf(u) -> float | np.ndarray:

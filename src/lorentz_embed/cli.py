@@ -23,8 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 
-STOCHASTIC_COMMANDS = {"simulate", "verify", "calibrate", "probe"}
-
 
 class UsageError(Exception):
     pass
@@ -133,9 +131,15 @@ def _get_params(config: dict) -> LorentzParams:
 
 
 def _get_ledger(config: dict) -> ConstantLedger:
+    """The ledger of --ledger-file, accepted only where a constant is read."""
     path = config.get("ledger_file")
     if path is None:
         return DEFAULT_LEDGER
+    command = config["command"]
+    if command == "verify":
+        command += f" --kind {config['kind']}"
+    if command not in ("bound", "verify --kind orderorder"):
+        raise UsageError(f"ledger_file is not read by {command}")
     return ConstantLedger.from_json(path)
 
 

@@ -20,7 +20,6 @@ class GaussianMatrix:
     n: int
     k: int
     entries: np.ndarray = field(repr=False)
-    seed_info: tuple[int, int]
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -34,8 +33,7 @@ def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> GaussianMatr
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = stream.generator()
     entries = rng.standard_normal((n, k))
-    return GaussianMatrix(n=n, k=k, entries=entries,
-                          seed_info=(stream.master_seed, stream.stream_id))
+    return GaussianMatrix(n=n, k=k, entries=entries)
 
 
 def identity_injection(n: int, k: int) -> GaussianMatrix:
@@ -44,7 +42,7 @@ def identity_injection(n: int, k: int) -> GaussianMatrix:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     entries = np.zeros((n, k))
     entries[:k, :k] = np.eye(k)
-    return GaussianMatrix(n=n, k=k, entries=entries, seed_info=(0, 0))
+    return GaussianMatrix(n=n, k=k, entries=entries)
 
 
 def embed(G: GaussianMatrix, x) -> np.ndarray:

@@ -22,12 +22,19 @@ TRIAL_CHUNK = 200
 DIRECTION_CHUNK = 2000
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_BLOCK = 50  # resamples drawn and reduced at a time, to bound memory
+Z95 = 1.959963984540054  # standard normal 0.975 quantile
+# the k-searches: least success rate of a passing k, and the calibration's
+# shrink factor from the largest passing k to the reported one
+CALIBRATE_THRESHOLD = 0.98
+CALIBRATE_SAFETY = 0.8
+PROBE_THRESHOLD = 0.9
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = Z95
     phat = successes / trials
     denom = 1.0 + z ** 2 / trials
     center = (phat + z ** 2 / (2.0 * trials)) / denom
@@ -164,20 +171,12 @@ def empirical_tail(statistic, n: int, threshold_fn, t_grid, trials: int,
 
 
 @dataclass(frozen=True)
-class UniformTailReport:
-    t_grid: tuple
-    rates: tuple
-    ci_lows: tuple
-    ci_highs: tuple
-    trials: int
-    center: float
+class UniformTailReport(TailReport):
     k: int
     gate_satisfied: tuple  # per t: whether k <= c_gate * t^2
 
     def to_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid), "rates": list(self.rates),
-                "ci_lows": list(self.ci_lows), "ci_highs": list(self.ci_highs),
-                "trials": self.trials, "center": self.center, "k": self.k,
+        return {**super().to_dict(), "k": self.k,
                 "gate_satisfied": list(self.gate_satisfied)}
 
 
@@ -335,17 +334,15 @@ def _ratio_evaluator(bound_name: str):
         return analytic.power_integral_exact(a, T), \
             analytic.power_integral_bounds(a, T).shape_value
 
-    def gamma_decay(point, stream):
-        from scipy import integrate
-        b, q = point
-        true, _ = integrate.quad(lambda w: math.exp(-w) * w ** q, 0.0, b)
-        return true, analytic.incomplete_gamma_bounds(b, q, "decay").shape_value
+    def incomplete_gamma(sign):
+        s = {"decay": -1.0, "growth": 1.0}[sign]
 
-    def gamma_growth(point, stream):
-        from scipy import integrate
-        b, q = point
-        true, _ = integrate.quad(lambda w: math.exp(w) * w ** q, 0.0, b)
-        return true, analytic.incomplete_gamma_bounds(b, q, "growth").shape_value
+        def evaluate(point, stream):
+            from scipy import integrate
+            b, q = point
+            true, _ = integrate.quad(lambda w: math.exp(s * w) * w ** q, 0.0, b)
+            return true, analytic.incomplete_gamma_bounds(b, q, sign).shape_value
+        return evaluate
 
     def median_psi(point, stream):
         r, p, n = point
@@ -356,8 +353,8 @@ def _ratio_evaluator(bound_name: str):
 
     registry = {"power_log_sum": power_log_sum,
                 "power_integral": power_integral,
-                "incomplete_gamma_decay": gamma_decay,
-                "incomplete_gamma_growth": gamma_growth,
+                "incomplete_gamma_decay": incomplete_gamma("decay"),
+                "incomplete_gamma_growth": incomplete_gamma("growth"),
                 "median_psi": median_psi}
     if bound_name not in registry:
         raise ValueError(f"unknown two-sided bound {bound_name!r}; "
@@ -374,8 +371,9 @@ def calibrate(bound_name: str, param_grid, target: str,
     on the fit grid; validation counts grid points exceeding it (with a 5%
     slack for stochastic oracles).  target 'tail_rate': fitted_constant is the
     largest rate/exp(-t^2/2) on the fit grid of t values; validation counts t
-    values whose rate exceeds twice the fitted bound.  target 'success_rate':
-    see calibrate_embedding_dimension.
+    values whose rate exceeds twice the fitted bound.  Any other target raises;
+    the CLI dispatches its target 'success_rate' to
+    calibrate_embedding_dimension instead.
     """
     param_grid = tuple(param_grid)
     if not param_grid:
@@ -471,33 +469,30 @@ def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
 def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
                                   trials: int, directions: int,
                                   fit_stream: RandomStream,
-                                  validation_stream: RandomStream,
-                                  threshold: float = 0.98,
-                                  safety: float = 0.8,
-                                  k_cap: int | None = None) -> CalibrationRecord:
+                                  validation_stream: RandomStream) -> CalibrationRecord:
     """Fit c_dim so that k = c_dim * (shape d') succeeds with high probability.
 
-    Binary-searches the largest k meeting the fit threshold on the fit stream,
-    shrinks it by the safety factor, and reports the validation failure rate at
-    the resulting k on the held-out stream.
+    Binary-searches the largest k whose fit success rate reaches
+    CALIBRATE_THRESHOLD, shrinks it by CALIBRATE_SAFETY, and reports the
+    validation failure rate at the resulting k on the held-out stream.
 
-    The search is capped at k_cap (default: the shape value of the dimension
-    bound, itself capped at n).  A finite number of sampled directions can only
-    lower-bound the true sup-distortion, so success rates stay high far beyond
-    the dimensions the bound speaks about; probing past the shape value would
-    measure the direction sample, not the embedding.
+    The search is capped at k_cap: the shape value of the dimension bound
+    rounded up (a relative excess below 1e-9 is rounding error, not a fraction
+    of a dimension), at least 4 and at most n.  A finite number of sampled
+    directions can only lower-bound the true sup-distortion, so success rates
+    stay high far beyond the dimensions the bound speaks about; probing past
+    the shape value would measure the direction sample, not the embedding.
     """
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)
-    if k_cap is None:
-        k_cap = min(n, max(4, math.ceil(shape)))
+    k_cap = min(n, max(4, math.ceil(shape * (1.0 - 1e-9))))
     M = estimate_median_norm(params, 10 ** 4, fit_stream.substream(10 ** 6)).point
     k_star, observed = _largest_successful_k(params, eps, trials, directions,
-                                             threshold, fit_stream, M, k_cap=k_cap)
+                                             CALIBRATE_THRESHOLD, fit_stream, M, k_cap)
     if k_star == 0:
         raise ValueError("bound never satisfiable on grid: success rate below "
                          f"threshold even at k = 1 (rates: {observed})")
-    k_use = max(1, int(safety * k_star))
+    k_use = max(1, int(CALIBRATE_SAFETY * k_star))
     fitted = k_use / shape
     val = verify_embedding(params, k_use, eps, trials, directions,
                            validation_stream.substream(0), M=M)
@@ -539,16 +534,14 @@ class ScalingProbeResult:
 
 
 def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
-                  directions: int, stream: RandomStream,
-                  threshold: float = 0.9,
-                  k_cap: int | None = None) -> ScalingProbeResult:
-    """Fit the log-log slope of k*(eps), the largest k passing at rate >= threshold.
+                  directions: int, stream: RandomStream) -> ScalingProbeResult:
+    """Fit the log-log slope of k*(eps), the largest k passing at rate >= PROBE_THRESHOLD.
 
     The CI comes from a parametric bootstrap: per probed (eps, k) the observed
     success count is resampled binomially, k* is recomputed from the resampled
     rates, and the regression slope is refit per replicate.
 
-    The search per eps is capped at k_cap, by default min(n, ceil(4 ln m)) for
+    The search per eps is capped at k_cap = min(n, ceil(4 ln m)) for
     m sampled directions: the sampled sup-deviation stops growing in k around
     k ~ ln m, so larger k values only measure the direction sample.  A run
     where any k* hits the cap is flagged saturated (and inconclusive).
@@ -556,8 +549,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 4 or not all(0.05 < e < 0.4 for e in eps_grid):
         raise ValueError("grid too small: need >= 4 eps points inside (0.05, 0.4)")
-    if k_cap is None:
-        k_cap = min(n, math.ceil(4.0 * math.log(directions)))
+    k_cap = min(n, math.ceil(4.0 * math.log(directions)))
     params = power_params(r, p, n)
     M = estimate_median_norm(params, 10 ** 4, stream.substream(10 ** 6)).point
 
@@ -565,15 +557,11 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     per_eps_observed = []
     for j, eps in enumerate(eps_grid):
         k_star, observed = _largest_successful_k(
-            params, eps, trials, directions, threshold,
-            stream.substream(j), M, k_cap=k_cap)
+            params, eps, trials, directions, PROBE_THRESHOLD,
+            stream.substream(j), M, k_cap)
         k_stars.append(k_star)
         per_eps_observed.append(observed)
     saturated = any(k >= k_cap for k in k_stars)
-    if all(k <= 1 for k in k_stars):
-        return ScalingProbeResult(eps_grid, tuple(k_stars), math.nan, math.nan,
-                                  math.nan, inconclusive=True,
-                                  saturated=saturated)
 
     def fit_slope(ks):
         xs, ys = [], []
@@ -581,7 +569,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
             if k >= 1:
                 xs.append(math.log(eps))
                 ys.append(math.log(k))
-        if len(xs) < 2 or len(set(ys)) < 2:
+        if len(set(ys)) < 2:  # also when fewer than two k* reach 1
             return math.nan
         return float(np.polyfit(xs, ys, 1)[0])
 
@@ -594,7 +582,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
             best = 0
             for k in sorted(observed):
                 cnt = rng.binomial(trials, min(1.0, max(0.0, observed[k])))
-                if cnt / trials >= threshold:
+                if cnt / trials >= PROBE_THRESHOLD:
                     best = max(best, k)
             ks_b.append(best)
         s = fit_slope(ks_b)

@@ -33,28 +33,10 @@ class WeightSequence:
 
 
 @dataclass(frozen=True)
-class PowerWeights:
-    """The power family w_i = i^(-r)."""
-
-    r: float
-    n: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError("r must be a finite nonnegative real")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def materialize(self) -> WeightSequence:
-        i = np.arange(1, self.n + 1, dtype=float)
-        return WeightSequence(i ** (-self.r))
-
-
-@dataclass(frozen=True)
 class LorentzParams:
     """A (weights, p) pair defining a Lorentz norm (p >= 1) or quasi-norm (p < 1)."""
 
-    weights: WeightSequence | PowerWeights
+    weights: WeightSequence
     p: float
 
     def __post_init__(self):
@@ -75,10 +57,13 @@ class LorentzParams:
         return 1.0 if self.p >= 1.0 else 2.0 ** (1.0 / self.p)
 
     def weight_values(self) -> np.ndarray:
-        if isinstance(self.weights, PowerWeights):
-            return self.weights.materialize().values
         return self.weights.values
 
 
 def power_params(r: float, p: float, n: int) -> LorentzParams:
-    return LorentzParams(PowerWeights(r, n), p)
+    """The power family w_i = i^(-r), i = 1..n."""
+    if not (np.isfinite(r) and r >= 0.0):
+        raise ValueError("r must be a finite nonnegative real")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return LorentzParams(WeightSequence(np.arange(1, n + 1, dtype=float) ** (-r)), p)

@@ -7,9 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import _log_power_sum, median_norm_shape
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .params import LorentzParams, PowerWeights, WeightSequence
-from .sharp import P_BOUNDARY_TOL, beta_weights
+from .norms import lipschitz_constant
+from .params import WeightSequence, power_params
+from .sharp import P_BOUNDARY_TOL, _case_ii_sum, _case_iva_A
 
 FIGURE1_CASES = ("ia", "ib*", "ib**", "iia", "iib*", "iib**", "iii", "iv")
 
@@ -229,7 +231,7 @@ def corollary_dimension_lp(
 
 
 def general_dimension(
-    weights: WeightSequence | PowerWeights,
+    weights: WeightSequence,
     p: float,
     n: int,
     eps: float,
@@ -243,19 +245,16 @@ def general_dimension(
     """
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    w = weights.materialize().values if isinstance(weights, PowerWeights) else weights.values
+    w = weights.values
     if w.size != n:
         raise ValueError("weights length must equal n")
     c = ledger.get("c_dim")
-    i = np.arange(1, n + 1, dtype=float)
-    logs = np.log(n / i)
-    logs[-1] = 0.0
-    Sw = float(np.sum(w * logs ** (p / 2.0)))
+    Sw = float(_log_power_sum(w, p / 2.0, n))
     if p == 1.0:
         return c * Sw ** 2 * eps ** 2 / float(np.sum(w ** 2))
-    D = float(np.sum(w ** 2 * logs ** (p - 1.0)))
+    D = float(_log_power_sum(w ** 2, p - 1.0, n))
     if p < 1.5:
-        B = float(np.sum(w ** 2 * i ** (-(p - 1.0))))
+        B = float(np.sum(w ** 2 * np.arange(1, n + 1, dtype=float) ** (-(p - 1.0))))
     elif p < 2.0:
         B = float(np.sum(w ** (2.0 / (2.0 - p))) ** (2.0 - p))
     else:
@@ -365,12 +364,9 @@ def orderorder_SR(
     if case == "I":
         # the full-form (A, B); the simplified pair is reported alongside
         a2 = abs(2.0 - 2.0 * r - p)
-        if r <= 0.5:
-            A_thm = C ** p * p ** p * n ** (1.0 - 2.0 * r) * ln ** p \
-                / (p + (1.0 - 2.0 * r) * ln) ** p
-        else:
-            A_thm = C ** p * ln ** p / (1.0 + (2.0 * r - 1.0) * ln) \
-                + C ** p * ln ** (p - 1.0)
+        A_thm = _simplified_AB("I", r, p, n, ledger)[0]
+        if r > 0.5:
+            A_thm += C ** p * ln ** (p - 1.0)
         if p < 2.0:
             B_thm = C * (1.0 + (ln / (1.0 + a2 * ln)) ** (2.0 - p)
                          * (1.0 + n ** (2.0 - 2.0 * r - p)))
@@ -380,9 +376,7 @@ def orderorder_SR(
         S = R ** (1.0 / q)
         A, B = _simplified_AB("I", min(r, 2.0), p, n, ledger)
     elif case == "II":
-        m = int(n / math.e)
-        i = np.arange(1, m + 1, dtype=float)
-        S = C * float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
+        S = C * _case_ii_sum(r, p, n, t)
         R = S
         A, B = _simplified_AB("II", r, p, n, ledger)
     elif case == "III":
@@ -391,7 +385,7 @@ def orderorder_SR(
         R = C * n ** ((1.0 - 2.0 * r) * (3.0 - 2.0 * p)) * S ** q
         A, B = _simplified_AB("III", r, p, n, ledger)
     elif case == "IVa":
-        beta_weights(r, p, n)  # validates sub-case preconditions
+        _case_iva_A(r, p, n)  # validates sub-case preconditions
         S = C ** (1.0 / (p - 1.0)) * (1.0 - 2.0 * r) ** (-p / q) \
             * ln ** (-(3.0 - 2.0 * p) / q) * n ** 0.5 \
             + C ** (1.0 / (p - 1.0)) * ln ** 0.5 * t
@@ -444,11 +438,8 @@ def compute_bound_report(
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> BoundReport:
     """Evaluate every applicable dimension bound for the power-weight family."""
-    from .analytic import median_norm_shape
-    from .norms import lipschitz_constant
-
     case = classify_case(r, p, n)
-    params = LorentzParams(PowerWeights(r, n), p)
+    params = power_params(r, p, n)
     w = params.weight_values()
 
     def all_values(ldg: ConstantLedger) -> dict:

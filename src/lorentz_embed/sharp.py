@@ -32,23 +32,12 @@ def grad_functional(r: float, p: float, x) -> float:
 
 def grad_functional_columns(r: float, p: float, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    i = np.arange(1, X.shape[0] + 1, dtype=float)
-    return _power_sum(i ** (-2.0 * r), X, 2.0 * (p - 1.0))
+    return _power_sum(_grad_weights(r, X.shape[0]), X, 2.0 * (p - 1.0))
 
 
-def beta_weights(r: float, p: float, n: int) -> np.ndarray:
-    """The Case IVa weights beta_i over 1 <= i <= floor(n/e).
-
-    beta_i = (1-2r)^p ln(n) / n^(1-2r) * i^(-2r) (ln(n/i))^(p-1) + 1/i.
-    Requires p = 2(1-r) with r in (1/4, 1/2] and (1-2r) ln(n) >= e.
-    """
-    _check_case_iv_family(r, p)
-    if (1.0 - 2.0 * r) * math.log(n) < math.e:
-        raise ValueError("(1-2r) ln n < e: use Case IVb (Euclidean) instead")
-    m = int(n / math.e)
-    i = np.arange(1, m + 1, dtype=float)
-    A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
-    return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
+def _grad_weights(r: float, n: int) -> np.ndarray:
+    """i^(-2r) for i = 1..n, the weights of the gradient functional."""
+    return np.arange(1, n + 1, dtype=float) ** (-2.0 * r)
 
 
 def _check_case_iv_family(r: float, p: float):
@@ -58,16 +47,39 @@ def _check_case_iv_family(r: float, p: float):
         raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")
 
 
+def _case_iva_A(r: float, p: float, n: int) -> float:
+    """A = (1-2r)^p ln(n) / n^(1-2r), after checking that Case IVa applies."""
+    _check_case_iv_family(r, p)
+    if (1.0 - 2.0 * r) * math.log(n) < math.e:
+        raise ValueError("(1-2r) ln n < e: Case IVa does not apply, use Case IVb "
+                         "(Euclidean) instead")
+    return (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
+
+
+def _case_ii_sum(r: float, p: float, n: int, t: float) -> float:
+    """sum_{i <= n/e} i^(-2r) (ln(n/i) + t^2/i)^(p-1), the Case II quantile sum."""
+    i = np.arange(1, int(n / math.e) + 1, dtype=float)
+    return float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
+
+
+def beta_weights(r: float, p: float, n: int) -> np.ndarray:
+    """The Case IVa weights beta_i over 1 <= i <= floor(n/e).
+
+    beta_i = (1-2r)^p ln(n) / n^(1-2r) * i^(-2r) (ln(n/i))^(p-1) + 1/i.
+    Requires p = 2(1-r) with r in (1/4, 1/2] and (1-2r) ln(n) >= e.
+    """
+    A = _case_iva_A(r, p, n)
+    i = np.arange(1, int(n / math.e) + 1, dtype=float)
+    return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
+
+
 def solve_A0(r: float, p: float, n: int) -> float:
     """Unique solution A0 of (n/A0)/ln(n/A0) = A^(1/(p-1)) n on the guaranteed range.
 
     A = (1-2r)^p ln(n) / n^(1-2r).  The solution lies in
     [n^(1-3/(2e)), n/e^2] and satisfies A0 ln(n/A0) = A^(-1/(p-1)).
     """
-    _check_case_iv_family(r, p)
-    if (1.0 - 2.0 * r) * math.log(n) < math.e:
-        raise ValueError("(1-2r) ln n < e: Case IVa machinery does not apply")
-    A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
+    A = _case_iva_A(r, p, n)
     target = A ** (1.0 / (p - 1.0)) * n
     z_lo = math.e ** 2
     z_hi = n ** (3.0 / (2.0 * math.e))
@@ -105,7 +117,7 @@ class SharpNormSpec:
     p: float
     n: int
     t: float
-    coefficients: np.ndarray = field(repr=False)  # empty for the Euclidean case
+    coefficients: np.ndarray = field(repr=False)
     is_norm: bool = True
 
     def __post_init__(self):
@@ -122,8 +134,7 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0) -> Sh
     if case == "I":
         if p < 1.5:
             raise ValueError("Case I requires p >= 3/2")
-        i = np.arange(1, n + 1, dtype=float)
-        return SharpNormSpec("I", r, p, n, t, i ** (-2.0 * r))
+        return SharpNormSpec("I", r, p, n, t, _grad_weights(r, n))
     if case == "II":
         if not (1.0 <= p < 1.5):
             raise ValueError("Case II requires 1 <= p < 3/2")
@@ -136,8 +147,7 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0) -> Sh
     if case == "III":
         if not (1.0 <= p < 1.5 - 2.0 * r):
             raise ValueError("Case III requires p < 3/2 - 2r")
-        i = np.arange(1, n + 1, dtype=float)
-        return SharpNormSpec("III", r, p, n, t, i ** (-2.0 * r))
+        return SharpNormSpec("III", r, p, n, t, _grad_weights(r, n))
     if case == "IVa":
         beta = beta_weights(r, p, n)  # validates the sub-case conditions
         m = beta.size
@@ -148,7 +158,7 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0) -> Sh
         _check_case_iv_family(r, p)
         if (1.0 - 2.0 * r) * math.log(n) >= math.e:
             raise ValueError("(1-2r) ln n >= e: use Case IVa instead")
-        return SharpNormSpec("IVb", r, p, n, t, np.empty(0))
+        return SharpNormSpec("IVb", r, p, n, t, np.ones(n))
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -162,12 +172,9 @@ def sharp_norm(spec: SharpNormSpec, x) -> float:
 
 def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
     X = _check_columns(spec.n, X)
-    if spec.case == "IVb":
-        return np.linalg.norm(X, axis=0)
-    if spec.case == "I":
-        q = 2.0 * (spec.p - 1.0)
-        return _power_sum(spec.coefficients, X, q) ** (1.0 / q)
-    return _power_sum(spec.coefficients, X, 1.0)
+    # the case's norm is a q-th root: q = 2(p-1) in Case I, 2 (Euclidean) in IVb, else 1
+    q = {"I": 2.0 * (spec.p - 1.0), "IVb": 2.0}.get(spec.case, 1.0)
+    return _power_sum(spec.coefficients, X, q) ** (1.0 / q)
 
 
 def chain_factor(spec: SharpNormSpec) -> float:
@@ -182,18 +189,12 @@ def chain_factor(spec: SharpNormSpec) -> float:
     r, p, n = spec.r, spec.p, spec.n
     if spec.case == "I":
         return 1.0
-    if spec.case == "II":
-        m = int(n / math.e)
-        i = np.arange(1, m + 1, dtype=float)
-        T = float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + spec.t ** 2 / i) ** (p - 1.0)))
-        return math.ceil(n / m) * T ** (3.0 - 2.0 * p)
+    if spec.case in ("II", "IVa"):
+        T = _case_ii_sum(r, p, n, spec.t) if spec.case == "II" \
+            else float(np.sum(beta_weights(r, p, n)))
+        return math.ceil(n / int(n / math.e)) * T ** (3.0 - 2.0 * p)
     if spec.case == "III":
-        i = np.arange(1, n + 1, dtype=float)
-        return float(np.sum(i ** (-2.0 * r)) ** (3.0 - 2.0 * p))
-    if spec.case == "IVa":
-        beta = beta_weights(r, p, n)
-        m = beta.size
-        return math.ceil(n / m) * float(np.sum(beta) ** (3.0 - 2.0 * p))
+        return float(np.sum(_grad_weights(r, n)) ** (3.0 - 2.0 * p))
     # IVb
     harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     return harmonic ** (2.0 - p)

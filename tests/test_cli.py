@@ -138,6 +138,62 @@ class TestExitCodes:
         code, _, _ = run([], capsys)
         assert code == 1
 
+
+class TestLedgerFile:
+    def test_bound_reads_c_dim(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"c_dim": 2}))
+        argv = ["bound", "--r", "0", "--p", "3", "--n", "10000", "--eps", "0.1"]
+        _, out, _ = run(argv, capsys)
+        code, out2, _ = run(argv + ["--ledger-file", str(ledger)], capsys)
+        assert code == 0
+        report, report2 = json.loads(out), json.loads(out2)
+        assert report2["ledger"]["c_dim"] == 2
+        assert report2["result"]["d"] == 2.0 * report["result"]["d"]
+
+    def test_verify_orderorder_reads_c_sharp(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"C_sharp": 2}))
+        # case II: S = C_sharp * (a sum that does not depend on the ledger)
+        argv = ["verify", "--kind", "orderorder", "--case", "II", "--r", "0.3",
+                "--p", "1.2", "--n", "200", "--t", "3", "--seed", "6",
+                "--trials", "200"]
+        _, out, _ = run(argv, capsys)
+        code, out2, _ = run(argv + ["--ledger-file", str(ledger)], capsys)
+        assert code == 0
+        report, report2 = json.loads(out), json.loads(out2)
+        assert report2["ledger"]["C_sharp"] == 2
+        assert report2["result"]["S"] == 2.0 * report["result"]["S"]
+        assert report2["result"]["implication_violations"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--r", "0.3", "--p", "1.4"],
+        ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--seed", "1"],
+        ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+         "--k", "2", "--eps", "0.2", "--seed", "1"],
+        ["calibrate", "--bound-name", "embedding_dimension", "--r", "0",
+         "--p", "1.5", "--n", "100", "--eps", "0.2", "--seed", "1",
+         "--validation-seed", "2"],
+        ["probe", "--r", "0", "--p", "2", "--n", "50",
+         "--eps-grid", "0.17,0.2,0.24,0.28", "--seed", "1"],
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_rejected_where_not_read(self, argv, via_config, tmp_path, capsys):
+        command = " ".join(argv[:3]) if argv[0] == "verify" else argv[0]
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"c_dim": 2}))
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"ledger_file": str(ledger)}))
+            argv = ["--config", str(cfg)] + argv
+        else:
+            argv = argv + ["--ledger-file", str(ledger)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"ledger_file is not read by {command}" in err
+
+
 class TestCalibrateAndProbe:
     def test_calibrate_two_sided_ratio(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed import (RandomStream, calibrate, empirical_tail,
+from lorentz_embed import (RandomStream, calibrate,
+                           calibrate_embedding_dimension, empirical_tail,
                            estimate_median_norm, estimate_median_psi,
                            identity_injection, power_params, scaling_probe,
                            verify_embedding, verify_orderorder,
@@ -208,6 +209,14 @@ class TestCalibrate:
                         RandomStream(101), RandomStream(102), rate_fn=rate_fn)
         assert math.isfinite(rec.fitted_constant)
         assert rec.validation_violation_rate <= 0.5
+
+
+class TestCalibrateEmbeddingDimension:
+    def test_k_cap_ignores_rounding_excess(self):
+        # c_rp n eps^2 = 100 * 0.2^2 evaluates to 4.000000000000001
+        rec = calibrate_embedding_dimension(0.0, 1.5, 100, 0.2, 20, 200,
+                                            RandomStream(1), RandomStream(2))
+        assert rec.details["k_cap"] == 4
 
 
 class TestScalingProbe:

@@ -31,6 +31,16 @@ class TestWeightSequence:
         w = power_params(1.0, 1.0, 3).weight_values()
         assert np.allclose(w, [1.0, 0.5, 1.0 / 3.0])
 
+    @pytest.mark.parametrize("r, n, message", [
+        (-1.0, 5, "r must be a finite nonnegative real"),
+        (math.nan, 5, "r must be a finite nonnegative real"),
+        (math.inf, 5, "r must be a finite nonnegative real"),
+        (0.5, 0, "n must be at least 1"),
+    ])
+    def test_power_params_validation(self, r, n, message):
+        with pytest.raises(ValueError, match=message):
+            power_params(r, 2.0, n)
+
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             WeightSequence(np.array([1.0, 0.5, 0.6]))
