@@ -12,7 +12,7 @@ import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .embedding import measure_distortion, sample_gaussian_matrix, test_directions
-from .montecarlo import (calibrate, calibrate_embedding_dimension,
+from .montecarlo import (_check_counts, calibrate, calibrate_embedding_dimension,
                          estimate_median_norm, scaling_probe, verify_embedding,
                          verify_orderorder)
 from .params import LorentzParams, WeightSequence, power_params
@@ -44,107 +44,125 @@ def _load_weights_file(path: str) -> WeightSequence:
     return WeightSequence(np.array(values))
 
 
+# option name -> keywords of its flag: --seed for master_seed, else --name-with-dashes
+_OPTIONS = {
+    "r": {"type": float},
+    "weights_file": {"help": "one weight per line; replaces --r and --n"},
+    "p": {"type": float}, "n": {"type": int}, "eps": {"type": float},
+    "ledger_file": {"help": "JSON object of named constants"},
+    "master_seed": {"type": int}, "trials": {"type": int},
+    "samples": {"type": int}, "directions": {"type": int}, "k": {"type": int},
+    "mode": {"choices": ["random_sphere", "grid2d"]}, "case": {},
+    "t": {"type": float}, "min_success": {"type": float},
+    "validation_seed": {"type": int},
+    "grid_file": {"help": "JSON list of grid points for ratio targets"},
+    "eps_grid": {"help": "comma-separated eps values"},
+}
+
+
+def _reads(names: str, **defaults) -> dict:
+    return {**dict.fromkeys(names.split()), **defaults}
+
+
+# dispatch key -> the options it reads, each with its default (None: none);
+# the parser, the --config check, the defaults and the echoed config follow it
+_READS = {
+    "bound": _reads("r p n eps ledger_file"),
+    "classify": _reads("r p", n=10 ** 4),
+    "simulate": _reads("r weights_file p n k master_seed", samples=10 ** 4,
+                       directions=10 ** 4, mode="random_sphere"),
+    "verify --kind orderorder": _reads("case r p n master_seed ledger_file",
+                                       t=3.0, trials=10 ** 4),
+    "verify --kind embedding": _reads("r weights_file p n k eps master_seed "
+                                      "min_success", trials=100, directions=10 ** 4),
+    "calibrate --target success_rate": _reads(
+        "bound_name r p n eps master_seed validation_seed",
+        trials=100, directions=10 ** 4),
+    "calibrate --target two_sided_ratio": _reads(
+        "bound_name grid_file master_seed validation_seed"),
+    "probe": _reads("r p n eps_grid master_seed", trials=20, directions=2000),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorentz-embed",
         description="Random Gaussian embeddings into Lorentz sequence spaces: "
                     "dimension bounds, simulations and verifications.")
-    parser.add_argument("--config", help="JSON config file; flags override its fields")
+    parser.add_argument("--config", help="JSON object of options by name "
+                                         "(e.g. master_seed); flags override it")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(sp, stochastic: bool):
-        sp.add_argument("--r", type=float)
-        sp.add_argument("--weights-file")
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--ledger-file")
+    subs = {}
+    for command, (_, text) in _COMMANDS.items():
+        sp = subs[command] = sub.add_parser(command, help=text)
+        reads = {name for key, names in _READS.items()
+                 if key.split()[0] == command for name in names}
+        # every command parses every option, so that an unread one is
+        # rejected by name; --help lists only those it reads
+        for name, keywords in _OPTIONS.items():
+            flag = "--seed" if name == "master_seed" else "--" + name.replace("_", "-")
+            if name not in reads:
+                keywords = {**keywords, "help": argparse.SUPPRESS}
+            sp.add_argument(flag, dest=name, **keywords)
         sp.add_argument("--output", help="report path (default: stdout)")
-        if stochastic:
-            sp.add_argument("--seed", type=int, dest="master_seed")
-            sp.add_argument("--trials", type=int)
-            sp.add_argument("--samples", type=int)
-            sp.add_argument("--directions", type=int)
-
-    sp = sub.add_parser("bound", help="compute every applicable dimension bound")
-    add_common(sp, stochastic=False)
-
-    sp = sub.add_parser("classify", help="classify (r, p) into its parameter regime")
-    add_common(sp, stochastic=False)
-
-    sp = sub.add_parser("simulate", help="sample one Gaussian matrix and measure distortion")
-    add_common(sp, stochastic=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--mode", choices=["random_sphere", "grid2d"], default="random_sphere")
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    add_common(sp, stochastic=True)
-    sp.add_argument("--kind", choices=["orderorder", "embedding"], required=True)
-    sp.add_argument("--case")
-    sp.add_argument("--t", type=float, default=3.0)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--min-success", type=float)
-
-    sp = sub.add_parser("calibrate", help="fit a ledger constant with a held-out seed")
-    add_common(sp, stochastic=True)
-    sp.add_argument("--bound-name", required=True)
-    sp.add_argument("--validation-seed", type=int)
-    sp.add_argument("--grid-file", help="JSON list of grid points for ratio targets")
-    sp.add_argument("--target", choices=["two_sided_ratio", "success_rate"],
-                    default="success_rate")
-
-    sp = sub.add_parser("probe", help="fit the eps-scaling exponent of k*(eps)")
-    add_common(sp, stochastic=True)
-    sp.add_argument("--eps-grid", help="comma-separated eps values")
-
+    subs["verify"].add_argument("--kind", choices=["orderorder", "embedding"],
+                                required=True)
+    subs["calibrate"].add_argument("--bound-name", required=True)
+    subs["calibrate"].add_argument("--target",
+                                   choices=["two_sided_ratio", "success_rate"])
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    config = {}
-    if args.config:
-        config.update(_read_json(args.config))
-    for key, value in vars(args).items():
-        if key == "config":
-            continue
-        if value is not None:
-            config[key] = value
-    return config
+    """The defaults of the command's _READS entry, then the --config file,
+    then the flags; a null counts as absent, an option it does not read is
+    an error."""
+    given = _read_json(args.config) if args.config else {}
+    if not isinstance(given, dict):
+        raise UsageError("config must be a JSON object")
+    flags = {k: v for k, v in vars(args).items() if k != "config"}
+    given = {k: v for source in (given, flags) for k, v in source.items()
+             if v is not None}
+    command = given["command"]
+    if command == "calibrate":
+        given.setdefault("target", "success_rate")
+    selector = {"verify": "kind", "calibrate": "target"}.get(command)
+    key = f"{command} --{selector} {given[selector]}" if selector else command
+    if key not in _READS:
+        raise UsageError(f"unknown {selector}: {given[selector]}")
+    for name in given:
+        if name not in _READS[key] and name not in ("command", "output", selector):
+            raise UsageError(f"{name} is not read by {key}")
+    return {**_READS[key], **given}
 
 
 def _require(config: dict, *names):
     for name in names:
-        if config.get(name) is None:
+        if config[name] is None:
             raise UsageError(f"missing required option: {name}")
 
 
 def _get_params(config: dict) -> LorentzParams:
-    has_r = config.get("r") is not None
-    has_wf = config.get("weights_file") is not None
+    has_r = config["r"] is not None
+    has_wf = config["weights_file"] is not None
     if has_r == has_wf:
         raise UsageError("exactly one of r / weights_file must be given")
     _require(config, "p")
     if has_wf:
+        if config["n"] is not None:
+            raise UsageError("n is set by weights_file; give only one of them")
         return LorentzParams(_load_weights_file(config["weights_file"]), config["p"])
     _require(config, "n")
     return power_params(config["r"], config["p"], config["n"])
 
 
 def _get_ledger(config: dict) -> ConstantLedger:
-    """The ledger of --ledger-file, accepted only where a constant is read."""
     path = config.get("ledger_file")
-    if path is None:
-        return DEFAULT_LEDGER
-    command = config["command"]
-    if command == "verify":
-        command += f" --kind {config['kind']}"
-    if command not in ("bound", "verify --kind orderorder"):
-        raise UsageError(f"ledger_file is not read by {command}")
-    return ConstantLedger.from_json(path)
+    return DEFAULT_LEDGER if path is None else ConstantLedger.from_json(path)
 
 
 def _get_stream(config: dict) -> RandomStream:
-    if config.get("master_seed") is None:
+    if config["master_seed"] is None:
         raise UsageError("missing required option: master_seed (pass --seed)")
     return RandomStream(config["master_seed"])
 
@@ -166,102 +184,84 @@ def _emit(config: dict, ledger: ConstantLedger, payload: dict):
         sys.stdout.write(text + "\n")
 
 
-def _cmd_bound(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_bound(config: dict, ledger: ConstantLedger) -> tuple:
     _require(config, "r", "p", "n", "eps")
-    report = compute_bound_report(config["r"], config["p"], config["n"],
-                                  config["eps"], ledger)
-    _emit(config, ledger, report.to_dict())
-    return EXIT_OK
+    return compute_bound_report(config["r"], config["p"], config["n"],
+                                config["eps"], ledger), EXIT_OK
 
 
-def _cmd_classify(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_classify(config: dict, ledger: ConstantLedger) -> tuple:
     _require(config, "r", "p")
-    n = config.get("n", 10 ** 4)
-    case = classify_case(config["r"], config["p"], n)
-    _emit(config, ledger, case.to_dict())
-    return EXIT_OK
+    return classify_case(config["r"], config["p"], config["n"]), EXIT_OK
 
 
-def _cmd_simulate(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_simulate(config: dict, ledger: ConstantLedger) -> tuple:
     params = _get_params(config)
     _require(config, "k")
     stream = _get_stream(config)
-    k = config["k"]
-    samples = config.get("samples") or 10 ** 4
-    directions = config.get("directions") or 10 ** 4
-    mode = config.get("mode", "random_sphere")
-    M = estimate_median_norm(params, samples, stream.substream(0)).point
+    k, mode = config["k"], config["mode"]
+    _check_counts(directions=config["directions"])
+    M = estimate_median_norm(params, config["samples"], stream.substream(0)).point
     G = sample_gaussian_matrix(params.n, k, stream.substream(1))
-    dirs = test_directions(k, directions, mode, stream.substream(2))
-    report = measure_distortion(G, params, M, dirs, test_mode=mode)
-    _emit(config, ledger, report.to_dict())
-    return EXIT_OK
+    dirs = test_directions(k, config["directions"], mode, stream.substream(2))
+    return measure_distortion(G, params, M, dirs, test_mode=mode), EXIT_OK
 
 
-def _cmd_verify(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_verify(config: dict, ledger: ConstantLedger) -> tuple:
     stream = _get_stream(config)
-    kind = config["kind"]
-    if kind == "orderorder":
+    if config["kind"] == "orderorder":
         _require(config, "case", "r", "p", "n")
-        trials = config.get("trials") or 10 ** 4
         result = verify_orderorder(config["case"], config["r"], config["p"],
-                                   config["n"], config.get("t", 3.0), trials,
+                                   config["n"], config["t"], config["trials"],
                                    ledger, stream)
-        _emit(config, ledger, result.to_dict())
-        return EXIT_OK if result.implication_violations == 0 else EXIT_ASSERTION
+        return result, EXIT_OK if result.implication_violations == 0 else EXIT_ASSERTION
     # embedding
     params = _get_params(config)
     _require(config, "k", "eps")
-    trials = config.get("trials") or 100
-    directions = config.get("directions") or 10 ** 4
-    result = verify_embedding(params, config["k"], config["eps"], trials,
-                              directions, stream)
-    _emit(config, ledger, result.to_dict())
-    min_success = config.get("min_success")
-    if min_success is not None and result.ci_low < min_success:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    result = verify_embedding(params, config["k"], config["eps"], config["trials"],
+                              config["directions"], stream)
+    min_success = config["min_success"]
+    failed = min_success is not None and result.ci_low < min_success
+    return result, EXIT_ASSERTION if failed else EXIT_OK
 
 
-def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
     stream = _get_stream(config)
-    if config.get("validation_seed") is None:
-        raise UsageError("missing required option: validation_seed")
+    _require(config, "validation_seed")
     validation = RandomStream(config["validation_seed"])
     name = config["bound_name"]
-    if config.get("target", "success_rate") == "success_rate":
+    if config["target"] == "success_rate":
         if name != "embedding_dimension":
             raise UsageError("target success_rate supports only bound_name "
                              "embedding_dimension")
         _require(config, "r", "p", "n", "eps")
-        record = calibrate_embedding_dimension(
+        return calibrate_embedding_dimension(
             config["r"], config["p"], config["n"], config["eps"],
-            config.get("trials") or 100, config.get("directions") or 10 ** 4,
-            stream, validation)
-    else:
-        if config.get("grid_file") is None:
-            raise UsageError("missing required option: grid_file")
-        grid = [tuple(point) for point in _read_json(config["grid_file"])]
-        record = calibrate(name, grid, "two_sided_ratio", stream, validation)
-    _emit(config, ledger, record.to_dict())
-    return EXIT_OK
+            config["trials"], config["directions"], stream, validation), EXIT_OK
+    _require(config, "grid_file")
+    grid = [tuple(point) for point in _read_json(config["grid_file"])]
+    return calibrate(name, grid, "two_sided_ratio", stream, validation), EXIT_OK
 
 
-def _cmd_probe(config: dict, ledger: ConstantLedger) -> int:
+def _cmd_probe(config: dict, ledger: ConstantLedger) -> tuple:
     stream = _get_stream(config)
     _require(config, "r", "p", "n", "eps_grid")
     raw = config["eps_grid"]
     eps_grid = [float(v) for v in raw.split(",")] if isinstance(raw, str) else raw
-    result = scaling_probe(config["r"], config["p"], config["n"], eps_grid,
-                           config.get("trials") or 20,
-                           config.get("directions") or 2000, stream)
-    _emit(config, ledger, result.to_dict())
-    return EXIT_OK
+    return scaling_probe(config["r"], config["p"], config["n"], eps_grid,
+                         config["trials"], config["directions"], stream), EXIT_OK
 
 
-_COMMANDS = {"bound": _cmd_bound, "classify": _cmd_classify,
-             "simulate": _cmd_simulate, "verify": _cmd_verify,
-             "calibrate": _cmd_calibrate, "probe": _cmd_probe}
+# command -> (its function, its help line); the function returns the result
+# and the exit code, and main writes the report
+_COMMANDS = {
+    "bound": (_cmd_bound, "compute every applicable dimension bound"),
+    "classify": (_cmd_classify, "classify (r, p) into its parameter regime"),
+    "simulate": (_cmd_simulate, "sample one Gaussian matrix and measure distortion"),
+    "verify": (_cmd_verify, "run a verification suite"),
+    "calibrate": (_cmd_calibrate, "fit a ledger constant with a held-out seed"),
+    "probe": (_cmd_probe, "fit the eps-scaling exponent of k*(eps)"),
+}
 
 
 def main(argv=None) -> int:
@@ -276,11 +276,10 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         ledger = _get_ledger(config)
-        return _COMMANDS[args.command](config, ledger)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+        result, code = _COMMANDS[args.command][0](config, ledger)
+        _emit(config, ledger, result.to_dict())
+        return code
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,11 +51,6 @@ class ConstantLedger:
             raise ValueError(f"unknown constant name: {name!r}")
         return self.values.get(name, 1.0)
 
-    def replace(self, **updates: float) -> "ConstantLedger":
-        merged = dict(self.values)
-        merged.update(updates)
-        return ConstantLedger(merged)
-
     def to_dict(self) -> dict[str, float]:
         return {name: self.get(name) for name in KNOWN_CONSTANTS}
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,9 +95,6 @@ class DistortionReport:
             "direction_count": self.direction_count,
             "test_mode": self.test_mode,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def write_csv(self, path: str):
         """One row per direction: direction_index, norm_value, rel_dev."""

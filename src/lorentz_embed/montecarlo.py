@@ -5,7 +5,7 @@ verification, constant calibration and the eps-scaling probe."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,6 +115,13 @@ def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStrea
     return _estimate_median(psi_columns, params, samples, stream)
 
 
+def _check_counts(**counts: int):
+    """Reject an empty run by the name of its count, before anything is sampled."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be positive, got {count}")
+
+
 def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
                     stream: RandomStream, deviation, matrix_factory=None) -> np.ndarray:
     """Per trial, the max of deviation(|G theta|_{w,p}) over sampled directions.
@@ -146,10 +153,7 @@ class TailReport:
     trials: int
     center: float
 
-    def to_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid), "rates": list(self.rates),
-                "ci_lows": list(self.ci_lows), "ci_highs": list(self.ci_highs),
-                "trials": self.trials, "center": self.center}
+    to_dict = asdict
 
 
 def empirical_tail(statistic, n: int, threshold_fn, t_grid, trials: int,
@@ -174,10 +178,6 @@ def empirical_tail(statistic, n: int, threshold_fn, t_grid, trials: int,
 class UniformTailReport(TailReport):
     k: int
     gate_satisfied: tuple  # per t: whether k <= c_gate * t^2
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "k": self.k,
-                "gate_satisfied": list(self.gate_satisfied)}
 
 
 def verify_schechtman_uniform(params: LorentzParams, k: int, t_grid, trials: int,
@@ -213,12 +213,7 @@ class OrderOrderVerification:
     R: float
     chain_K: float
 
-    def to_dict(self) -> dict:
-        return {"case": self.case, "prob_S_holds": self.prob_S_holds,
-                "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "implication_violations": self.implication_violations,
-                "trials": self.trials, "S": self.S, "R": self.R,
-                "chain_K": self.chain_K}
+    to_dict = asdict
 
 
 def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
@@ -283,6 +278,7 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    _check_counts(trials=trials, directions=directions)
     if M is None:
         M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
     max_devs = _sup_deviations(params, k, trials, directions, stream,
@@ -308,15 +304,7 @@ class CalibrationRecord:
         if self.fit_seed == self.validation_seed:
             raise ValueError("validation seed must differ from the fit seed")
 
-    def to_dict(self) -> dict:
-        return {"bound_name": self.bound_name,
-                "fitted_constant": self.fitted_constant,
-                "fit_grid": [list(g) if isinstance(g, (tuple, list)) else g
-                             for g in self.fit_grid],
-                "validation_violation_rate": self.validation_violation_rate,
-                "fit_seed": self.fit_seed,
-                "validation_seed": self.validation_seed,
-                "details": self.details}
+    to_dict = asdict
 
 
 def _ratio_evaluator(bound_name: str):
@@ -483,6 +471,7 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     stay high far beyond the dimensions the bound speaks about; probing past
     the shape value would measure the direction sample, not the embedding.
     """
+    _check_counts(trials=trials, directions=directions)
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)
     k_cap = min(n, max(4, math.ceil(shape * (1.0 - 1e-9))))
@@ -549,6 +538,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 4 or not all(0.05 < e < 0.4 for e in eps_grid):
         raise ValueError("grid too small: need >= 4 eps points inside (0.05, 0.4)")
+    _check_counts(trials=trials, directions=directions)
     k_cap = min(n, math.ceil(4.0 * math.log(directions)))
     params = power_params(r, p, n)
     M = estimate_median_norm(params, 10 ** 4, stream.substream(10 ** 6)).point

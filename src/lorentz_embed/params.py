@@ -48,10 +48,6 @@ class LorentzParams:
         return self.weights.n
 
     @property
-    def is_norm(self) -> bool:
-        return self.p >= 1.0
-
-    @property
     def quasi_norm_constant(self) -> float:
         """Triangle-inequality constant: 1 for p >= 1, 2^(1/p) below."""
         return 1.0 if self.p >= 1.0 else 2.0 ** (1.0 / self.p)

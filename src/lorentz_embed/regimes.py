@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,7 @@ class RegimeCase:
     figure1: str
     orderorder: str
 
-    def to_dict(self) -> dict:
-        return {"figure1": self.figure1, "orderorder": self.orderorder}
+    to_dict = asdict
 
 
 def _on_iv_boundary(r: float, p: float) -> bool:
@@ -270,9 +269,7 @@ class EllInftyResult:
     k_bound: float
     vacuous: bool = False
 
-    def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "k_bound": self.k_bound,
-                "vacuous": self.vacuous}
+    to_dict = asdict
 
 
 def ellinfty_regime(
@@ -311,8 +308,7 @@ class OrderOrderBounds:
     A: float
     B: float
 
-    def to_dict(self) -> dict:
-        return {"S": self.S, "R": self.R, "A": self.A, "B": self.B}
+    to_dict = asdict
 
 
 def _simplified_AB(case: str, r: float, p: float, n: int,

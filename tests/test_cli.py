@@ -1,8 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from lorentz_embed.cli import main
+from lorentz_embed.cli import UsageError, _build_parser, _merge_config, main
+from lorentz_embed.streams import RandomStream
 
 
 def run(argv, capsys):
@@ -233,3 +236,164 @@ class TestCalibrateAndProbe:
         result = json.loads(out, parse_constant=reject)["result"]
         assert result["inconclusive"]
         assert result["slope"] is None
+
+
+def write_json(tmp_path, obj, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestOptionTable:
+    def test_bound_rejects_weights_file(self, tmp_path, capsys):
+        wf = tmp_path / "weights.txt"
+        wf.write_text("1.0\n0.5\n")
+        code, out, err = run(["bound", "--r", "0", "--p", "3", "--n", "100",
+                              "--eps", "0.1", "--weights-file", str(wf)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "weights_file is not read by bound" in err
+
+    def test_config_value_beats_default(self, tmp_path, capsys):
+        argv = ["verify", "--kind", "orderorder", "--case", "I", "--r", "0.3",
+                "--p", "2", "--n", "200", "--seed", "6", "--trials", "200"]
+        _, out, _ = run(argv + ["--t", "2"], capsys)
+        cfg = write_json(tmp_path, {"t": 2.0})
+        code, out2, _ = run(["--config", cfg] + argv, capsys)
+        assert code == 0
+        report, report2 = json.loads(out), json.loads(out2)
+        assert report2["config"]["t"] == 2.0
+        assert report2["result"]["S"] == report["result"]["S"]
+        _, out3, _ = run(argv, capsys)
+        assert json.loads(out3)["result"]["S"] != report["result"]["S"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--samples", "0"],
+        ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--directions", "0"],
+        ["verify", "--kind", "orderorder", "--case", "I", "--r", "0.3", "--p", "2",
+         "--n", "50", "--trials", "0"],
+        ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+         "--k", "2", "--eps", "0.2", "--trials", "0"],
+        ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+         "--k", "2", "--eps", "0.2", "--directions", "0"],
+        ["calibrate", "--bound-name", "embedding_dimension", "--r", "0", "--p", "1.5",
+         "--n", "100", "--eps", "0.2", "--validation-seed", "2", "--trials", "0"],
+        ["calibrate", "--bound-name", "embedding_dimension", "--r", "0", "--p", "1.5",
+         "--n", "100", "--eps", "0.2", "--validation-seed", "2", "--directions", "0"],
+        ["probe", "--r", "0", "--p", "2", "--n", "50",
+         "--eps-grid", "0.17,0.2,0.24,0.28", "--trials", "0"],
+        ["probe", "--r", "0", "--p", "2", "--n", "50",
+         "--eps-grid", "0.17,0.2,0.24,0.28", "--directions", "0"],
+    ])
+    def test_zero_count_exits_before_sampling(self, argv, monkeypatch, capsys):
+        def no_draws(self):
+            raise AssertionError("sampled before the zero count was rejected")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        name = argv[-2].lstrip("-")
+        code, out, err = run(argv + ["--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert name in err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, {"foo": 1})
+        code, out, err = run(["--config", cfg, "classify", "--r", "0.3",
+                              "--p", "1.4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "foo is not read by classify" in err
+
+    def test_unknown_target_in_config(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, {"target": "bogus"})
+        code, out, err = run(["--config", cfg, "calibrate", "--bound-name",
+                              "power_log_sum", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unknown target: bogus" in err
+
+    def test_null_falls_back_to_echoed_default(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, {"trials": None})
+        code, out, _ = run(["--config", cfg, "verify", "--kind", "orderorder",
+                            "--case", "I", "--r", "0.3", "--p", "2", "--n", "50",
+                            "--seed", "6"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["trials"] == 10 ** 4
+        assert report["result"]["trials"] == 10 ** 4
+
+    def test_two_sided_ratio_rejects_trials(self, tmp_path, capsys):
+        grid = write_json(tmp_path, [[0.0, 0.0, 100]], "grid.json")
+        code, out, err = run(["calibrate", "--bound-name", "power_log_sum",
+                              "--target", "two_sided_ratio", "--grid-file", grid,
+                              "--seed", "1", "--validation-seed", "2",
+                              "--trials", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "trials is not read by calibrate --target two_sided_ratio" in err
+
+    def test_verify_embedding_echoes_no_t(self, capsys):
+        code, out, _ = run(["verify", "--kind", "embedding", "--r", "0", "--p", "2",
+                            "--n", "50", "--k", "2", "--eps", "0.3", "--seed", "1",
+                            "--trials", "5", "--directions", "100"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert "t" not in config
+        assert config["trials"] == 5 and config["directions"] == 100
+
+    def test_verify_embedding_rejects_t(self, capsys):
+        code, _, err = run(["verify", "--kind", "embedding", "--r", "0", "--p", "2",
+                            "--n", "50", "--k", "2", "--eps", "0.3", "--seed", "1",
+                            "--t", "3"], capsys)
+        assert code == 1
+        assert "t is not read by verify --kind embedding" in err
+
+    def test_classify_echoes_default_n(self, capsys):
+        code, out, _ = run(["classify", "--r", "0.3", "--p", "1.4"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["n"] == 10 ** 4
+
+    def test_n_with_weights_file(self, tmp_path, capsys):
+        wf = tmp_path / "weights.txt"
+        wf.write_text("1.0\n0.5\n")
+        code, out, err = run(["simulate", "--weights-file", str(wf), "--n", "7",
+                              "--p", "2", "--k", "1", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "n is set by weights_file" in err
+
+    @pytest.mark.parametrize("content", [[1], "r", 3])
+    def test_config_must_be_object(self, content, tmp_path, capsys):
+        cfg = write_json(tmp_path, content)
+        code, out, err = run(["--config", cfg, "classify", "--r", "0.3",
+                              "--p", "1.4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config must be a JSON object" in err
+
+    def test_help_lists_only_read_options(self, capsys):
+        code, out, _ = run(["bound", "--help"], capsys)
+        assert code == 0
+        assert "--eps" in out and "--ledger-file" in out
+        assert "--seed" not in out and "--weights-file" not in out
+
+
+def readme_commands():
+    """The lorentz-embed commands of the README's CLI block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("lorentz-embed ")]
+
+
+def test_readme_commands_resolve():
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        args = _build_parser().parse_args(argv)
+        try:
+            config = _merge_config(args)
+        except UsageError as exc:
+            pytest.fail(f"{shlex.join(argv)}: {exc}")
+        assert config["command"] == argv[0]
