@@ -33,6 +33,11 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
 def _load_weights_file(path: str) -> WeightSequence:
     """One weight per line, validated against the weight-sequence invariants."""
     values = []
@@ -239,7 +244,10 @@ def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
             config["r"], config["p"], config["n"], config["eps"],
             config["trials"], config["directions"], stream, validation), EXIT_OK
     _require(config, "grid_file")
-    grid = [tuple(point) for point in _read_json(config["grid_file"])]
+    grid = _read_json(config["grid_file"])
+    if not isinstance(grid, list) or not all(map(_is_number_list, grid)):
+        raise UsageError("grid_file must hold a JSON list of lists of numbers")
+    grid = [tuple(point) for point in grid]
     return calibrate(name, grid, "two_sided_ratio", stream, validation), EXIT_OK
 
 
@@ -248,6 +256,9 @@ def _cmd_probe(config: dict, ledger: ConstantLedger) -> tuple:
     _require(config, "r", "p", "n", "eps_grid")
     raw = config["eps_grid"]
     eps_grid = [float(v) for v in raw.split(",")] if isinstance(raw, str) else raw
+    if not _is_number_list(eps_grid):
+        raise UsageError("eps_grid must be a list of numbers or a "
+                         "comma-separated string")
     return scaling_probe(config["r"], config["p"], config["n"], eps_grid,
                          config["trials"], config["directions"], stream), EXIT_OK
 

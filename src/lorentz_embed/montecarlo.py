@@ -122,13 +122,20 @@ def _check_counts(**counts: int):
             raise ValueError(f"{name} must be positive, got {count}")
 
 
+def _check_eps(eps: float):
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+
+
 def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
                     stream: RandomStream, deviation, matrix_factory=None) -> np.ndarray:
     """Per trial, the max of deviation(|G theta|_{w,p}) over sampled directions.
 
     The directions come from stream.substream(1), trial j's matrix from
     stream.substream(2 + j); images are formed DIRECTION_CHUNK directions at a
-    time.  matrix_factory, if given, replaces the Gaussian sampler.
+    time, as C-ordered (directions, n) blocks whose transposed views the norm
+    kernel reads contiguously.  matrix_factory, if given, replaces the
+    Gaussian sampler.
     """
     factory = matrix_factory or sample_gaussian_matrix
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
@@ -138,7 +145,8 @@ def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
         sup = 0.0
         for start in range(0, directions, DIRECTION_CHUNK):
             block = dirs[:, start:start + DIRECTION_CHUNK]
-            norms = lorentz_norm_columns(params, G.entries @ block)
+            images = block.T @ G.entries.T
+            norms = lorentz_norm_columns(params, images.T)
             sup = max(sup, float(np.max(deviation(norms))))
         sups[trial] = sup
     return sups
@@ -235,9 +243,12 @@ def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
     holds = 0
     violations = 0
     for X in _normal_chunks(n, trials, stream):
-        within = sharp_norm_columns(spec, X) <= S
+        grad = grad_functional_columns(r, p, X)
+        # Case I's norm to the power q is the gradient sum itself: one sort
+        sharp = grad ** (1.0 / q) if case == "I" else sharp_norm_columns(spec, X)
+        within = sharp <= S
         holds += int(np.sum(within))
-        violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
+        violations += int(np.sum(within & (grad > R)))
     lo, hi = wilson_interval(holds, trials)
     return OrderOrderVerification(case=case, prob_S_holds=holds / trials,
                                   ci_low=lo, ci_high=hi,
@@ -276,8 +287,7 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     dedicated substream.  matrix_factory, if given, replaces the Gaussian
     sampler (test override for deterministic fixtures).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     if M is None:
         M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
@@ -471,6 +481,7 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     stay high far beyond the dimensions the bound speaks about; probing past
     the shape value would measure the direction sample, not the embedding.
     """
+    _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)

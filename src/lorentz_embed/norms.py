@@ -47,16 +47,33 @@ def _check_columns(n: int, X) -> np.ndarray:
     return X
 
 
+def _power_in_place(A: np.ndarray, q: float):
+    if q == 2.0:
+        np.square(A, out=A)
+    elif q != 1.0:
+        np.power(A, q, out=A)
+
+
 def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
     """sum_i c_i X_[i]^q for each column of X, X_[i] the non-increasing
     rearrangement of its absolute values; rows past len(coeffs) are left out.
 
     Equal coefficients over all rows make the order irrelevant: no sort then.
+    Otherwise |X| is written once, transposed, into a C-ordered (m, n) buffer
+    that is sorted ascending along its contiguous rows and powered in place,
+    so the largest len(coeffs) entries of a column are the tail of its row.
+    X itself is never modified.
     """
-    if coeffs.size == X.shape[0] and np.all(coeffs == coeffs[0]):
-        return coeffs[0] * np.sum(np.abs(X) ** q, axis=0)
-    Xs = np.sort(np.abs(X), axis=0)[::-1, :]
-    return coeffs @ Xs[:coeffs.size] ** q
+    n, c = X.shape[0], coeffs.size
+    if c == n and np.all(coeffs == coeffs[0]):
+        A = np.abs(X)
+        _power_in_place(A, q)
+        return coeffs[0] * np.sum(A, axis=0)
+    A = np.abs(X.T, order="C")
+    A.sort(axis=1)
+    top = A[:, n - c:]
+    _power_in_place(top, q)
+    return top @ coeffs[::-1]
 
 
 def lorentz_norm(params: LorentzParams, x) -> float:

@@ -258,20 +258,24 @@ class TestCriterion8Monotonicity:
 
 
 class TestCriterion9ScalingProbe:
-    def test_euclidean_like_slope_and_advisory_high_p(self):
-        os.makedirs(REPORT_DIR, exist_ok=True)
+    def test_euclidean_like_slope_and_advisory_high_p(self, tmp_path):
+        def write_and_compare(result, name):
+            # written to tmp_path; the committed report must match it byte for byte
+            path = tmp_path / name
+            with open(path, "w") as fh:
+                json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+            with open(os.path.join(REPORT_DIR, name), "rb") as fh:
+                assert path.read_bytes() == fh.read(), f"reports/{name} is stale"
 
         res2 = scaling_probe(0.0, 2.0, 100, [0.17, 0.20, 0.24, 0.28], 40,
                              10 ** 4, RandomStream(33))
-        with open(os.path.join(REPORT_DIR, "scaling_probe_p2.json"), "w") as fh:
-            json.dump(res2.to_dict(), fh, indent=2, sort_keys=True)
+        write_and_compare(res2, "scaling_probe_p2.json")
         assert not res2.saturated
         assert res2.slope_ci_low <= 2.0 <= res2.slope_ci_high
 
         res4 = scaling_probe(0.0, 4.0, 5000, [0.12, 0.16, 0.22, 0.30], 20,
                              2000, RandomStream(44))
-        with open(os.path.join(REPORT_DIR, "scaling_probe_p4.json"), "w") as fh:
-            json.dump(res4.to_dict(), fh, indent=2, sort_keys=True)
+        write_and_compare(res4, "scaling_probe_p4.json")
         advisory_ok = (not res4.inconclusive and not res4.saturated
                        and res4.slope_ci_high < 2.0)
         if not advisory_ok:
@@ -282,7 +286,7 @@ class TestCriterion9ScalingProbe:
                 "the true sup-distortion, so this check is warn-only")
         _passed(f"criterion 9: p = 2 slope CI ({res2.slope_ci_low:.2f}, "
                 f"{res2.slope_ci_high:.2f}) contains 2; p = 4 advisory "
-                f"{'passed' if advisory_ok else 'warned'}; reports written")
+                f"{'passed' if advisory_ok else 'warned'}; reports match reports/")
 
 
 class TestCriterion10Reproducibility:

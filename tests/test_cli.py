@@ -223,6 +223,26 @@ class TestCalibrateAndProbe:
         assert code == 1
         assert "grid too small" in err
 
+    def test_grid_file_must_hold_lists(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([1, 2]))
+        code, out, err = run(["calibrate", "--bound-name", "power_log_sum",
+                              "--target", "two_sided_ratio",
+                              "--grid-file", str(grid), "--seed", "1",
+                              "--validation-seed", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "grid_file" in err
+
+    def test_config_eps_grid_must_be_a_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_grid": 5, "r": 0, "p": 2, "n": 50,
+                                   "master_seed": 1}))
+        code, out, err = run(["--config", str(cfg), "probe"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "eps_grid" in err
+
     def test_probe_nan_slope_is_strict_json(self, capsys):
         # every k* sits at the cap, so the slope is undefined: null, not NaN
         code, out, _ = run(["probe", "--r", "0", "--p", "4", "--n", "4",
@@ -295,6 +315,19 @@ class TestOptionTable:
         assert code == 1
         assert out == ""
         assert name in err
+
+    def test_calibrate_checks_eps_before_sampling(self, monkeypatch, capsys):
+        def no_draws(self):
+            raise AssertionError("sampled before eps was rejected")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        code, out, err = run(["calibrate", "--bound-name", "embedding_dimension",
+                              "--r", "0", "--p", "1.5", "--n", "2000", "--eps", "1.5",
+                              "--seed", "1", "--validation-seed", "2",
+                              "--trials", "4", "--directions", "100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "eps" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, {"foo": 1})

@@ -12,6 +12,9 @@ from lorentz_embed import (RandomStream, calibrate,
                            verify_schechtman_uniform, wilson_interval)
 from lorentz_embed import montecarlo
 from lorentz_embed.constants import DEFAULT_LEDGER
+from lorentz_embed.regimes import orderorder_SR
+from lorentz_embed.sharp import (chain_factor, grad_functional_columns,
+                                 make_sharp_spec, sharp_norm_columns)
 
 # chi distribution with 100 degrees of freedom: median via the regularized
 # incomplete gamma inverse (independent quadrature-backed oracle)
@@ -133,6 +136,24 @@ class TestVerifyOrderOrder:
         res = verify_orderorder("I", 0.3, 2.0, 1000, 3.0, 400, DEFAULT_LEDGER,
                                 RandomStream(93))
         assert res.prob_S_holds >= 1.0 - math.exp(-3.0 ** 2 / 2.0) - 0.05
+
+    def test_case_I_shares_the_gradient_sum(self):
+        # case I takes its norm from the gradient sum; a loop over the same
+        # chunks that evaluates the two column functions apart must agree
+        r, p, n, t, trials = 0.3, 2.5, 60, 0.5, 450
+        res = verify_orderorder("I", r, p, n, t, trials, DEFAULT_LEDGER,
+                                RandomStream(95))
+        spec = make_sharp_spec("I", r, p, n, t)
+        S = orderorder_SR("I", r, p, n, t, DEFAULT_LEDGER).S
+        R = chain_factor(spec) * S ** (2.0 * (p - 1.0))
+        holds = violations = 0
+        for X in montecarlo._normal_chunks(n, trials, RandomStream(95)):
+            within = sharp_norm_columns(spec, X) <= S
+            holds += int(np.sum(within))
+            violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
+        assert 0 < holds < trials
+        assert (res.prob_S_holds, res.implication_violations, res.S, res.R) == \
+            (holds / trials, violations, S, R)
 
     def test_determinism(self):
         args = ("III", 0.1, 1.2, 500, 2.0, 300, DEFAULT_LEDGER)

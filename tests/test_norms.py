@@ -206,8 +206,17 @@ kernel_entries = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 2.5]),
 @st.composite
 def kernel_cases(draw):
     n = draw(st.integers(1, 30))
-    X = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 4))),
-                        elements=kernel_entries))
+    m = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, m), elements=kernel_entries))
+    # the kernel reads C-ordered chunks, the F-ordered .T views of image
+    # blocks, and any strided slice
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        base = np.full((2 * n, 3 * m), 7.0)
+        base[::2, ::3] = X
+        X = base[::2, ::3]
     kind = draw(st.sampled_from(["constant", "power", "truncated"]))
     length = draw(st.integers(1, n)) if kind == "truncated" else n
     i = np.arange(1, length + 1, dtype=float)
@@ -215,7 +224,8 @@ def kernel_cases(draw):
         coeffs = np.full(n, draw(st.floats(0.1, 3.0)))
     else:
         coeffs = i ** (-draw(st.floats(0.01, 2.0)))
-    return coeffs, X, draw(st.floats(0.3, 4.0))
+    q = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.3, 4.0)))
+    return coeffs, X, q
 
 
 class TestPowerSumKernel:
@@ -223,7 +233,9 @@ class TestPowerSumKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_oracle(self, case):
         coeffs, X, q = case
+        before = X.copy()
         got = _power_sum(coeffs, X, q)
+        assert np.array_equal(X, before)  # the kernel works on its own buffer
         for j in range(X.shape[1]):
             assert got[j] == pytest.approx(weighted_power_sum(coeffs, X[:, j], q),
                                            rel=1e-12, abs=0.0)
