@@ -1,5 +1,6 @@
 """Closed-form two-sided estimates: incomplete-gamma integrals, power/log sums,
-power integrals, the xi1 envelope, order-statistic bounds and psi medians."""
+power integrals, the xi1 envelope, the uniform order-statistic envelope and
+psi medians."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
 
@@ -23,7 +23,7 @@ class TwoSidedBound:
 
     def __post_init__(self):
         if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+            raise RuntimeError("lower bound exceeds upper bound")
 
 
 def _generic_bound(shape: float, exponent: float, ledger: ConstantLedger) -> TwoSidedBound:
@@ -124,8 +124,20 @@ def xi1_inv_upper(s: float) -> float:
     return min(math.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
 
 
-def _uniform_orderstat_upper(n: int, i: np.ndarray, t: float, variant: str,
-                             ledger: ConstantLedger) -> np.ndarray:
+def uniform_orderstat_upper_all(
+    n: int,
+    t: float,
+    variant: str,
+    ledger: ConstantLedger = DEFAULT_LEDGER,
+) -> np.ndarray:
+    """High-probability upper envelope for the i-th uniform order statistic,
+    for each i = 1..n.
+
+    variant 'bottom' holds simultaneously over i with probability at least
+    1 - (pi^2/3) e^(-t^2/2); variant 'renyi' with probability 1 - C e^(-t^2/2)
+    (rate constant from the ledger).
+    """
+    i = np.arange(1, n + 1, dtype=float)
     k = n - i + 1.0
     if variant == "bottom":
         s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
@@ -139,55 +151,6 @@ def _uniform_orderstat_upper(n: int, i: np.ndarray, t: float, variant: str,
         )
         return 1.0 - (n - i) / n * np.exp(-expo)
     raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
-
-
-def uniform_orderstat_upper(
-    n: int,
-    i: int,
-    t: float,
-    variant: str,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> float:
-    """High-probability upper envelope for the i-th uniform order statistic.
-
-    variant 'bottom' holds simultaneously over i with probability at least
-    1 - (pi^2/3) e^(-t^2/2); variant 'renyi' with probability 1 - C e^(-t^2/2)
-    (rate constant from the ledger).
-    """
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    return float(_uniform_orderstat_upper(n, np.array([float(i)]), t, variant, ledger)[0])
-
-
-def uniform_orderstat_upper_all(
-    n: int,
-    t: float,
-    variant: str,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> np.ndarray:
-    """The envelope of uniform_orderstat_upper over all i = 1..n."""
-    return _uniform_orderstat_upper(n, np.arange(1, n + 1, dtype=float), t, variant, ledger)
-
-
-def normal_orderstat_envelope(
-    n: int,
-    i: int,
-    t: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> float:
-    """High-probability envelope C (ln(n/i) + t^2/i)^(1/2) for X_[i], i <= (n+1)/2."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    if not 1 <= i <= (n + 1) / 2:
-        raise ValueError("need 1 <= i <= (n+1)/2")
-    return ledger.get("C_order") * math.sqrt(math.log(n / i) + t ** 2 / i)
-
-
-def tx_deviation_bound(n: int, t: float, ledger: ConstantLedger = DEFAULT_LEDGER) -> float:
-    """Envelope C min{t^2 / sqrt(ln n), t} for |TX - TY|_inf, T the sorting map."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return ledger.get("C_order") * min(t ** 2 / math.sqrt(math.log(n)), t)
 
 
 def median_psi_bounds(
@@ -225,11 +188,3 @@ def median_norm_shape(weights: np.ndarray, p: float, n: int) -> float:
         raise ValueError("weights length must equal n")
     return float(_log_power_sum(w, p / 2.0, n) ** (1.0 / p))
 
-
-def inverse_normal_cdf(u) -> float | np.ndarray:
-    """Standard normal quantile Phi^(-1)(u), u in (0, 1)."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("argument must lie in (0, 1)")
-    out = special.ndtri(u_arr)
-    return float(out) if np.isscalar(u) or out.ndim == 0 else out

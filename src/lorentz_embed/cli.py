@@ -4,9 +4,11 @@ verification, calibration and the scaling probe, with JSON reports."""
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .streams import RandomStream
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERTION = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -38,14 +41,13 @@ def _is_number_list(value) -> bool:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
 
 
-def _load_weights_file(path: str) -> WeightSequence:
-    """One weight per line, validated against the weight-sequence invariants."""
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
+def _load_weights_file(config: dict) -> WeightSequence:
+    """One weight per line, validated against the weight-sequence invariants;
+    the sha256 of the file's bytes is echoed in the report config."""
+    with open(config["weights_file"], "rb") as fh:
+        data = fh.read()
+    config["weights_file_sha256"] = hashlib.sha256(data).hexdigest()
+    values = [float(line) for line in data.decode().splitlines() if line.strip()]
     return WeightSequence(np.array(values))
 
 
@@ -125,6 +127,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     given = _read_json(args.config) if args.config else {}
     if not isinstance(given, dict):
         raise UsageError("config must be a JSON object")
+    for name, value in given.items():  # flags are typed by the parser already
+        kind = _OPTIONS.get(name, {}).get("type")
+        if kind and value is not None and not (
+                _is_number_list([value]) and (kind is float or isinstance(value, int))):
+            raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}")
     flags = {k: v for k, v in vars(args).items() if k != "config"}
     given = {k: v for source in (given, flags) for k, v in source.items()
              if v is not None}
@@ -156,7 +164,7 @@ def _get_params(config: dict) -> LorentzParams:
     if has_wf:
         if config["n"] is not None:
             raise UsageError("n is set by weights_file; give only one of them")
-        return LorentzParams(_load_weights_file(config["weights_file"]), config["p"])
+        return LorentzParams(_load_weights_file(config), config["p"])
     _require(config, "n")
     return power_params(config["r"], config["p"], config["n"])
 
@@ -248,7 +256,7 @@ def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
     if not isinstance(grid, list) or not all(map(_is_number_list, grid)):
         raise UsageError("grid_file must hold a JSON list of lists of numbers")
     grid = [tuple(point) for point in grid]
-    return calibrate(name, grid, "two_sided_ratio", stream, validation), EXIT_OK
+    return calibrate(name, grid, stream, validation), EXIT_OK
 
 
 def _cmd_probe(config: dict, ledger: ConstantLedger) -> tuple:
@@ -293,6 +301,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a broken invariant, not a bad input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

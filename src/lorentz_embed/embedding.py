@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,6 @@ def identity_injection(n: int, k: int) -> GaussianMatrix:
     return GaussianMatrix(n=n, k=k, entries=entries)
 
 
-def embed(G: GaussianMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (G.k,):
-        raise ValueError(f"expected a length-{G.k} vector, got shape {x.shape}")
-    return G.entries @ x
-
-
 def test_directions(k: int, count: int, mode: str, stream: RandomStream | None = None) -> np.ndarray:
     """Unit test directions as a (k, count) matrix of columns.
 
@@ -80,12 +72,10 @@ class DistortionReport:
     quantiles: dict  # probability level -> deviation quantile
     direction_count: int
     test_mode: str
-    rel_devs: np.ndarray = field(repr=False)
-    norm_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if any(q > self.max_rel_dev + 1e-15 for q in self.quantiles.values()):
-            raise ValueError("quantile exceeds reported maximum")
+            raise RuntimeError("quantile exceeds reported maximum")
 
     def to_dict(self) -> dict:
         return {
@@ -95,14 +85,6 @@ class DistortionReport:
             "direction_count": self.direction_count,
             "test_mode": self.test_mode,
         }
-
-    def write_csv(self, path: str):
-        """One row per direction: direction_index, norm_value, rel_dev."""
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["direction_index", "norm_value", "rel_dev"])
-            for idx in range(self.direction_count):
-                writer.writerow([idx, repr(self.norm_values[idx]), repr(self.rel_devs[idx])])
 
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
@@ -131,29 +113,5 @@ def measure_distortion(
         quantiles=quantiles,
         direction_count=directions.shape[1],
         test_mode=test_mode,
-        rel_devs=devs,
-        norm_values=norms,
     )
 
-
-def pushforward_norm(G: GaussianMatrix, M: float, y) -> float:
-    """M |x| where G x = y, solved in least squares over the column span.
-
-    Errors out when the residual exceeds 1e-6 |y| (y not in the range of G).
-    """
-    if M <= 0.0:
-        raise ValueError("M must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (G.n,):
-        raise ValueError(f"expected a length-{G.n} vector, got shape {y.shape}")
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0:
-        return 0.0
-    # normal equations on the k x k Gram matrix; k is small in all experiments
-    gram = G.entries.T @ G.entries
-    rhs = G.entries.T @ y
-    x = np.linalg.solve(gram, rhs)
-    residual = float(np.linalg.norm(G.entries @ x - y))
-    if residual > 1e-6 * ynorm:
-        raise ValueError(f"y is not in the range of G (relative residual {residual / ynorm:.3g})")
-    return M * float(np.linalg.norm(x))

@@ -1,6 +1,6 @@
-"""Reproducible Monte Carlo: median estimation, tail measurement, the
-deterministic gradient-bound implication checks, end-to-end embedding
-verification, constant calibration and the eps-scaling probe."""
+"""Reproducible Monte Carlo: median estimation, the deterministic
+gradient-bound implication checks, end-to-end embedding verification,
+constant calibration and the eps-scaling probe."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_LEDGER, ConstantLedger
+from .constants import ConstantLedger
 from .embedding import sample_gaussian_matrix, test_directions
-from .norms import lipschitz_constant, lorentz_norm_columns, psi_columns
+from .norms import lorentz_norm_columns, psi_columns
 from .params import LorentzParams, power_params
 from .regimes import corollary_dimension_rp, orderorder_SR
 from .sharp import chain_factor, grad_functional_columns, make_sharp_spec, sharp_norm_columns
@@ -52,7 +52,7 @@ class EstimatorResult:
 
     def __post_init__(self):
         if not self.ci_low <= self.point <= self.ci_high:
-            raise ValueError("point estimate outside its confidence interval")
+            raise RuntimeError("point estimate outside its confidence interval")
 
     def to_dict(self) -> dict:
         return {"point": self.point, "ci_low": self.ci_low, "ci_high": self.ci_high,
@@ -67,14 +67,6 @@ def _normal_chunks(n: int, samples: int, stream: RandomStream):
     for chunk_index, start in enumerate(range(0, samples, TRIAL_CHUNK)):
         rng = stream.substream(chunk_index).generator()
         yield rng.standard_normal((n, min(TRIAL_CHUNK, samples - start)))
-
-
-def _exceedance_rates(values: np.ndarray, thresholds) -> tuple[tuple, tuple, tuple]:
-    """Per threshold: the share of values above it and its Wilson interval."""
-    counts = [int(np.sum(values > th)) for th in thresholds]
-    intervals = [wilson_interval(c, values.size) for c in counts]
-    return (tuple(c / values.size for c in counts),
-            tuple(lo for lo, _ in intervals), tuple(hi for _, hi in intervals))
 
 
 def _bootstrap_median_ci(values: np.ndarray, stream: RandomStream) -> tuple[float, float]:
@@ -128,85 +120,29 @@ def _check_eps(eps: float):
 
 
 def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
-                    stream: RandomStream, deviation, matrix_factory=None) -> np.ndarray:
-    """Per trial, the max of deviation(|G theta|_{w,p}) over sampled directions.
+                    stream: RandomStream, M: float, matrix_factory=None) -> np.ndarray:
+    """Per trial, the max of | |G theta|_{w,p} / M - 1 | over sampled directions.
 
     The directions come from stream.substream(1), trial j's matrix from
     stream.substream(2 + j); images are formed DIRECTION_CHUNK directions at a
-    time, as C-ordered (directions, n) blocks whose transposed views the norm
-    kernel reads contiguously.  matrix_factory, if given, replaces the
-    Gaussian sampler.
+    time, in one C-ordered (directions, n) buffer that every trial and block
+    reuses and whose transposed views the norm kernel reads contiguously.
+    matrix_factory, if given, replaces the Gaussian sampler.
     """
     factory = matrix_factory or sample_gaussian_matrix
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
     sups = np.empty(trials)
+    buffer = np.empty((min(directions, DIRECTION_CHUNK), params.n))
     for trial in range(trials):
         G = factory(params.n, k, stream.substream(2 + trial))
         sup = 0.0
         for start in range(0, directions, DIRECTION_CHUNK):
             block = dirs[:, start:start + DIRECTION_CHUNK]
-            images = block.T @ G.entries.T
+            images = np.matmul(block.T, G.entries.T, out=buffer[:block.shape[1]])
             norms = lorentz_norm_columns(params, images.T)
-            sup = max(sup, float(np.max(deviation(norms))))
+            sup = max(sup, float(np.max(np.abs(norms / M - 1.0))))
         sups[trial] = sup
     return sups
-
-
-@dataclass(frozen=True)
-class TailReport:
-    t_grid: tuple
-    rates: tuple
-    ci_lows: tuple
-    ci_highs: tuple
-    trials: int
-    center: float
-
-    to_dict = asdict
-
-
-def empirical_tail(statistic, n: int, threshold_fn, t_grid, trials: int,
-                   stream: RandomStream) -> TailReport:
-    """Violation rates of |f(X) - median f(X)| > threshold_fn(t) per t.
-
-    statistic maps an (n, m) matrix to m per-column values.  The center is the
-    empirical median over the same run, so the report is deterministic given
-    the stream.
-    """
-    if trials < 1000:
-        raise ValueError("trials must be at least 1000")
-    values = np.concatenate([statistic(X) for X in _normal_chunks(n, trials, stream)])
-    center = float(np.median(values))
-    devs = np.abs(values - center)
-    rates, lows, highs = _exceedance_rates(devs, [threshold_fn(t) for t in t_grid])
-    return TailReport(tuple(float(t) for t in t_grid), rates, lows, highs,
-                      trials, center)
-
-
-@dataclass(frozen=True)
-class UniformTailReport(TailReport):
-    k: int
-    gate_satisfied: tuple  # per t: whether k <= c_gate * t^2
-
-
-def verify_schechtman_uniform(params: LorentzParams, k: int, t_grid, trials: int,
-                              directions: int, stream: RandomStream,
-                              ledger: ConstantLedger = DEFAULT_LEDGER) -> UniformTailReport:
-    """Tail rates for the sup over sampled sphere directions of the norm deviation.
-
-    Per trial, sup over sampled directions of | |G theta|_{w,p} - center | is
-    compared against t * Lip per t.  The gate k <= c t^2 is reported per t.
-    """
-    if k > 8:
-        raise ValueError("k must be at most 8 for dense direction sampling")
-    lip = lipschitz_constant(params)
-    center = estimate_median_norm(params, max(10 ** 4, trials), stream.substream(0)).point
-    sups = _sup_deviations(params, k, trials, directions, stream,
-                           lambda norms: np.abs(norms - center))
-    rates, lows, highs = _exceedance_rates(sups, [t * lip for t in t_grid])
-    c_gate = ledger.get("c_dim")
-    gates = tuple(bool(k <= c_gate * t ** 2) for t in t_grid)
-    return UniformTailReport(tuple(float(t) for t in t_grid), rates, lows, highs,
-                             trials, center, k, gates)
 
 
 @dataclass(frozen=True)
@@ -291,8 +227,8 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     _check_counts(trials=trials, directions=directions)
     if M is None:
         M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
-    max_devs = _sup_deviations(params, k, trials, directions, stream,
-                               lambda norms: np.abs(norms / M - 1.0), matrix_factory)
+    max_devs = _sup_deviations(params, k, trials, directions, stream, M,
+                               matrix_factory)
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
@@ -360,17 +296,14 @@ def _ratio_evaluator(bound_name: str):
     return registry[bound_name]
 
 
-def calibrate(bound_name: str, param_grid, target: str,
-              fit_stream: RandomStream, validation_stream: RandomStream,
-              **kwargs) -> CalibrationRecord:
-    """Fit the extremal constant for a named bound on one stream, validate on another.
+def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
+              validation_stream: RandomStream) -> CalibrationRecord:
+    """Fit the extremal constant of a named two-sided bound on one stream and
+    validate it on another.
 
-    target 'two_sided_ratio': fitted_constant is the largest true/shape ratio
-    on the fit grid; validation counts grid points exceeding it (with a 5%
-    slack for stochastic oracles).  target 'tail_rate': fitted_constant is the
-    largest rate/exp(-t^2/2) on the fit grid of t values; validation counts t
-    values whose rate exceeds twice the fitted bound.  Any other target raises;
-    the CLI dispatches its target 'success_rate' to
+    fitted_constant is the largest true/shape ratio on the fit grid; validation
+    counts the grid points exceeding it (with a 5% slack for stochastic
+    oracles).  The CLI dispatches its target 'success_rate' to
     calibrate_embedding_dimension instead.
     """
     param_grid = tuple(param_grid)
@@ -380,52 +313,33 @@ def calibrate(bound_name: str, param_grid, target: str,
             (validation_stream.master_seed, validation_stream.stream_id):
         raise ValueError("fit and validation streams must be distinct")
 
-    if target == "two_sided_ratio":
-        ev = _ratio_evaluator(bound_name)
-        ratios = []
-        for j, point in enumerate(param_grid):
-            true, shape = ev(point, fit_stream.substream(j))
-            if shape <= 0.0:
-                if true != 0.0:
-                    raise ValueError(f"shape is 0 but the quantity is {true} at {point}")
-                continue
-            ratios.append(true / shape)
-        if not ratios:
-            raise ValueError("bound never evaluable on grid")
-        fitted = max(ratios)
-        violations = 0
-        total = 0
-        for j, point in enumerate(param_grid):
-            true, shape = ev(point, validation_stream.substream(j))
-            if shape <= 0.0:
-                continue
-            total += 1
-            if true > 1.05 * fitted * shape:
-                violations += 1
-        rate = violations / total if total else 0.0
-        details = {"ratio_min": min(ratios), "ratio_max": fitted}
-    elif target == "tail_rate":
-        runner = kwargs["rate_fn"]  # (t, stream) -> violation rate
-        fitted = 0.0
-        for j, t in enumerate(param_grid):
-            rate_t = runner(t, fit_stream.substream(j))
-            fitted = max(fitted, rate_t / math.exp(-t ** 2 / 2.0))
-        fitted = max(fitted, 1e-12)
-        violations = 0
-        for j, t in enumerate(param_grid):
-            rate_t = runner(t, validation_stream.substream(j))
-            if rate_t > 2.0 * fitted * math.exp(-t ** 2 / 2.0):
-                violations += 1
-        rate = violations / len(param_grid)
-        details = {}
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    ev = _ratio_evaluator(bound_name)
+    ratios = []
+    for j, point in enumerate(param_grid):
+        true, shape = ev(point, fit_stream.substream(j))
+        if shape <= 0.0:
+            if true != 0.0:
+                raise ValueError(f"shape is 0 but the quantity is {true} at {point}")
+            continue
+        ratios.append(true / shape)
+    if not ratios:
+        raise ValueError("bound never evaluable on grid")
+    fitted = max(ratios)
+    violations = 0
+    total = 0
+    for j, point in enumerate(param_grid):
+        true, shape = ev(point, validation_stream.substream(j))
+        if shape <= 0.0:
+            continue
+        total += 1
+        if true > 1.05 * fitted * shape:
+            violations += 1
     return CalibrationRecord(bound_name=bound_name, fitted_constant=fitted,
                              fit_grid=param_grid,
-                             validation_violation_rate=rate,
+                             validation_violation_rate=violations / total if total else 0.0,
                              fit_seed=fit_stream.master_seed,
                              validation_seed=validation_stream.master_seed,
-                             details=details)
+                             details={"ratio_min": min(ratios), "ratio_max": fitted})
 
 
 def _largest_successful_k(params: LorentzParams, eps: float, trials: int,

@@ -212,23 +212,6 @@ def corollary_dimension_rp(
     return crp * min(ln ** 3 * e2, ln ** (1.0 + 2.0 / p) * ep)
 
 
-def corollary_dimension_lp(
-    p: float,
-    n: int,
-    eps: float,
-    C1: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> float:
-    """The classical l_p case: d' for p <= 2 is c n eps^2, above it a min of two terms."""
-    if p >= C1 * math.log(n):
-        raise ValueError("p >= C1 ln n: use ellinfty_regime instead")
-    c = ledger.get("c_dim")
-    if 1.0 <= p <= 2.0:
-        return c * n * eps ** 2
-    c2 = ledger.get("c2_dim")
-    return c2 * min(c ** p * n * eps ** 2, p * n ** (2.0 / p) * eps ** (2.0 / p))
-
-
 def general_dimension(
     weights: WeightSequence,
     p: float,
@@ -433,7 +416,11 @@ def compute_bound_report(
     eps: float,
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> BoundReport:
-    """Evaluate every applicable dimension bound for the power-weight family."""
+    """Evaluate every applicable dimension bound for the power-weight family.
+
+    At r > 1, where d' is not defined, the near-l_inf regime is reported
+    under 'ellinfty' instead; it does not enter k_max.
+    """
     case = classify_case(r, p, n)
     params = power_params(r, p, n)
     w = params.weight_values()
@@ -444,7 +431,7 @@ def compute_bound_report(
         E, F = lomain_EF(r, p, n, eps, ldg)
         E_s, F_s = lomain_EF_simplified(r, p, n, eps, ldg)
         d_prime = corollary_dimension_rp(r, p, n, eps, ldg) if r <= 1.0 else None
-        return {
+        values = {
             "d": milman_dimension(M_shape, b, eps, ldg),
             "E": E,
             "F": F,
@@ -453,6 +440,9 @@ def compute_bound_report(
             "d_prime": d_prime,
             "d_general": general_dimension(params.weights, p, n, eps, ldg),
         }
+        if r > 1.0:
+            values["ellinfty"] = ellinfty_regime(n, eps, r, p, ldg).to_dict()
+        return values
 
     shape = all_values(DEFAULT_LEDGER)
     scaled = all_values(ledger)

@@ -73,41 +73,6 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
 
 
-def solve_A0(r: float, p: float, n: int) -> float:
-    """Unique solution A0 of (n/A0)/ln(n/A0) = A^(1/(p-1)) n on the guaranteed range.
-
-    A = (1-2r)^p ln(n) / n^(1-2r).  The solution lies in
-    [n^(1-3/(2e)), n/e^2] and satisfies A0 ln(n/A0) = A^(-1/(p-1)).
-    """
-    A = _case_iva_A(r, p, n)
-    target = A ** (1.0 / (p - 1.0)) * n
-    z_lo = math.e ** 2
-    z_hi = n ** (3.0 / (2.0 * math.e))
-    if not (0.5 * z_lo <= target <= (2.0 * math.e / 3.0) * z_hi / math.log(n)):
-        raise ValueError(
-            "outside guaranteed-uniqueness range for A0 "
-            f"(target={target:.6g}, n={n}, r={r})"
-        )
-
-    def g(z):
-        return z / math.log(z)
-
-    # z/ln z is increasing on [e, inf); widen endpoints slightly if needed
-    while g(z_lo) > target:
-        z_lo = math.e + 0.5 * (z_lo - math.e)
-    while g(z_hi) < target:
-        z_hi *= 2.0
-    for _ in range(200):
-        z_mid = 0.5 * (z_lo + z_hi)
-        if g(z_mid) < target:
-            z_lo = z_mid
-        else:
-            z_hi = z_mid
-        if (z_hi - z_lo) <= 1e-12 * z_hi:
-            break
-    return n / (0.5 * (z_lo + z_hi))
-
-
 @dataclass(frozen=True)
 class SharpNormSpec:
     """Precomputed evaluation plan for one case of the auxiliary norm."""

@@ -1,10 +1,19 @@
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lorentz_embed
+from lorentz_embed import cli
+from lorentz_embed.analytic import TwoSidedBound
 from lorentz_embed.cli import UsageError, _build_parser, _merge_config, main
+from lorentz_embed.embedding import DistortionReport
+from lorentz_embed.montecarlo import EstimatorResult
 from lorentz_embed.streams import RandomStream
 
 
@@ -29,6 +38,21 @@ class TestBound:
         assert report["result"]["E"] > 0.0
         assert report["result"]["F"] > 0.0
         assert report["result"]["k_max"] >= 1
+
+    def test_ellinfty_regime_above_r_one(self, capsys):
+        argv = ["bound", "--p", "3", "--n", "10000", "--eps", "0.1"]
+        code, out, _ = run(argv + ["--r", "1.5"], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["d_prime"] is None
+        for values in (result["shape_values"], result["ledger_values"]):
+            assert values["ellinfty"]["applicable"] is True
+            # eps ln n / ln(1/eps) = 0.1 ln(10^4) / ln 10
+            assert values["ellinfty"]["k_bound"] == pytest.approx(0.4, rel=1e-12)
+        code, out, _ = run(argv + ["--r", "0"], capsys)
+        result = json.loads(out)["result"]
+        assert "ellinfty" not in result["shape_values"]
+        assert "ellinfty" not in result["ledger_values"]
 
     def test_bound_missing_eps(self, capsys):
         code, out, err = run(["bound", "--r", "0", "--p", "3", "--n", "100"],
@@ -104,6 +128,33 @@ class TestConfigFile:
         report = json.loads(out)
         assert report["result"]["max_rel_dev"] >= 0.0
 
+    def test_weights_file_sha256(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--weights-file", "weights.txt", "--p", "2",
+                "--k", "2", "--seed", "3", "--samples", "200",
+                "--directions", "100"]
+        outs = []
+        for name, content in (("a", "1\n0.5\n0.25\n"), ("b", "1\n0.5\n0.5\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "weights.txt").write_text(content)
+            monkeypatch.chdir(tmp_path / name)
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            config = json.loads(out)["config"]
+            assert config["weights_file"] == "weights.txt"
+            assert config["weights_file_sha256"] == \
+                hashlib.sha256(content.encode()).hexdigest()
+            outs.append(out)
+        assert json.loads(outs[0])["config"]["weights_file_sha256"] != \
+            json.loads(outs[1])["config"]["weights_file_sha256"]
+        assert run(argv, capsys)[1] == outs[1]
+
+    def test_no_weights_file_no_hash(self, capsys):
+        code, out, _ = run(["simulate", "--r", "0", "--p", "2", "--n", "20",
+                            "--k", "2", "--seed", "3", "--samples", "200",
+                            "--directions", "100"], capsys)
+        assert code == 0
+        assert "weights_file_sha256" not in json.loads(out)["config"]
+
     def test_r_and_weights_file_conflict(self, tmp_path, capsys):
         wf = tmp_path / "weights.txt"
         wf.write_text("1.0\n0.5\n")
@@ -132,6 +183,57 @@ class TestExitCodes:
         assert code == 0
         report = json.loads(out)
         assert report["result"]["implication_violations"] == 0
+
+    def test_internal_invariant_exits_3(self, monkeypatch, capsys):
+        def inconsistent(G, params, M, dirs, test_mode):
+            return DistortionReport(M, 0.1, {0.5: 0.2}, dirs.shape[1], test_mode)
+
+        monkeypatch.setattr(cli, "measure_distortion", inconsistent)
+        code, out, err = run(["simulate", "--r", "0", "--p", "2", "--n", "20",
+                              "--k", "2", "--seed", "3", "--samples", "200",
+                              "--directions", "100"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert "RuntimeError: quantile exceeds reported maximum" in err
+
+    @pytest.mark.parametrize("build", [
+        lambda: EstimatorResult(2.0, 0.0, 1.0, 100, RandomStream(0)),
+        lambda: DistortionReport(1.0, 0.1, {0.5: 0.2}, 10, "grid2d"),
+        lambda: TwoSidedBound(2.0, 1.0, 1.0, ()),
+    ], ids=["EstimatorResult", "DistortionReport", "TwoSidedBound"])
+    def test_invariants_raise_runtime_error(self, build):
+        with pytest.raises(RuntimeError):
+            build()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "20",
+          "--k", "2", "--eps", "1.5", "--seed", "1"], "eps"),
+        (["calibrate", "--bound-name", "embedding_dimension", "--r", "0",
+          "--p", "2", "--n", "20", "--eps", "1.5", "--seed", "1",
+          "--validation-seed", "2"], "eps"),
+        (["calibrate", "--target", "two_sided_ratio", "--bound-name",
+          "power_log_sum", "--grid-file", "grid.json", "--seed", "4",
+          "--validation-seed", "4"], "validation"),
+    ])
+    def test_bad_field_still_exits_1(self, argv, field, tmp_path,
+                                     monkeypatch, capsys):
+        (tmp_path / "grid.json").write_text("[[0.0, 0.0, 100]]")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+    def test_cli_imports_no_scipy(self):
+        # scipy is imported lazily, only by calibrate's quadrature oracles
+        code = ("import lorentz_embed.cli, sys; print(any(m == 'scipy' or "
+                "m.startswith('scipy.') for m in sys.modules))")
+        src = str(Path(lorentz_embed.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
@@ -328,6 +430,18 @@ class TestOptionTable:
         assert code == 1
         assert out == ""
         assert "eps" in err
+
+    @pytest.mark.parametrize("given, message", [
+        ({"n": "100"}, "n must be an integer, got '100'"),
+        ({"n": 100.5}, "n must be an integer, got 100.5"),
+        ({"eps": True}, "eps must be a number, got True"),
+    ])
+    def test_config_value_of_wrong_type(self, given, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 0, "p": 2, "n": 100, "eps": 0.1, **given}))
+        code, _, err = run(["--config", str(cfg), "bound"], capsys)
+        assert code == 1
+        assert message in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, {"foo": 1})

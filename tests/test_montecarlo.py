@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from lorentz_embed import (RandomStream, calibrate,
-                           calibrate_embedding_dimension, empirical_tail,
-                           estimate_median_norm, estimate_median_psi,
-                           identity_injection, power_params, scaling_probe,
+                           calibrate_embedding_dimension, estimate_median_norm,
+                           estimate_median_psi, identity_injection,
+                           lorentz_norm_columns, power_params,
+                           sample_gaussian_matrix, scaling_probe,
                            verify_embedding, verify_orderorder,
-                           verify_schechtman_uniform, wilson_interval)
+                           wilson_interval)
+# alias: pytest would otherwise collect the library function as a test
+from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo
 from lorentz_embed.constants import DEFAULT_LEDGER
 from lorentz_embed.regimes import orderorder_SR
@@ -81,43 +84,6 @@ class TestMedianEstimators:
             estimate_median_norm(power_params(0.0, 2.0, 5), 50, RandomStream(0))
 
 
-class TestEmpiricalTail:
-    def test_degenerate_constant_statistic(self):
-        report = empirical_tail(lambda X: np.ones(X.shape[1]), 10,
-                                lambda t: t, [0.5, 1.0, 2.0], 1000,
-                                RandomStream(81))
-        assert all(rate == 0.0 for rate in report.rates)
-
-    def test_euclidean_norm_subgaussian(self):
-        # |X|_2 is 1-Lipschitz; violations beyond t should decay fast
-        report = empirical_tail(
-            lambda X: np.linalg.norm(X, axis=0), 100, lambda t: t,
-            [1.0, 2.0, 3.0], 4000, RandomStream(82))
-        assert report.rates[0] > report.rates[1] >= report.rates[2]
-        assert report.rates[2] <= 0.01
-
-    def test_rejects_few_trials(self):
-        with pytest.raises(ValueError):
-            empirical_tail(lambda X: np.ones(X.shape[1]), 10,
-                           lambda t: t, [1.0], 10, RandomStream(0))
-
-
-class TestSchechtmanUniform:
-    def test_small_k_report(self):
-        params = power_params(0.0, 2.0, 50)
-        report = verify_schechtman_uniform(params, 2, [2.0, 3.0], 50, 500,
-                                           RandomStream(83))
-        assert len(report.rates) == 2
-        assert all(0.0 <= rate <= 1.0 for rate in report.rates)
-        # gate k <= c t^2 with unit constant: satisfied at t = 2 and 3 for k = 2
-        assert report.gate_satisfied == (True, True)
-
-    def test_rejects_large_k(self):
-        with pytest.raises(ValueError):
-            verify_schechtman_uniform(power_params(0.0, 2.0, 50), 9,
-                                      [2.0], 10, 100, RandomStream(0))
-
-
 class TestVerifyOrderOrder:
     def test_case_I_tautological(self):
         # p = 2, r = 0: the implication is |X| <= S => sum X^2 <= S^2
@@ -186,50 +152,44 @@ class TestVerifyEmbedding:
         b = verify_embedding(params, 3, 0.2, 20, 200, RandomStream(96))
         assert a.to_dict() == b.to_dict()
 
+    def test_partial_last_direction_block(self):
+        # more directions than one block, the last block short
+        params = power_params(0.3, 1.5, 40)
+        k, trials, directions, M = 3, 10, montecarlo.DIRECTION_CHUNK + 1500, 2.0
+        stream = RandomStream(97)
+        res = verify_embedding(params, k, 0.5, trials, directions, stream, M=M)
+        dirs = make_directions(k, directions, "random_sphere", stream.substream(1))
+        for trial, dev in enumerate(res.max_devs):
+            G = sample_gaussian_matrix(params.n, k, stream.substream(2 + trial))
+            norms = lorentz_norm_columns(params, G.entries @ dirs)
+            assert dev == pytest.approx(np.max(np.abs(norms / M - 1.0)), rel=1e-12)
+
 
 class TestCalibrate:
     def test_flat_power_log_sum_near_one(self):
         grid = [(0.0, 0.0, n) for n in (100, 300, 1000, 3000)]
-        rec = calibrate("power_log_sum", grid, "two_sided_ratio",
-                        RandomStream(97), RandomStream(98))
+        rec = calibrate("power_log_sum", grid, RandomStream(97), RandomStream(98))
         assert 0.5 < rec.fitted_constant < 2.0
         assert rec.validation_violation_rate == 0.0
 
     def test_same_streams_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            calibrate("power_log_sum", [(0.0, 0.0, 100)], "two_sided_ratio",
-                      RandomStream(1), RandomStream(1))
+            calibrate("power_log_sum", [(0.0, 0.0, 100)], RandomStream(1), RandomStream(1))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            calibrate("power_log_sum", [], "two_sided_ratio",
-                      RandomStream(1), RandomStream(2))
+            calibrate("power_log_sum", [], RandomStream(1), RandomStream(2))
 
     def test_unknown_bound_rejected(self):
         with pytest.raises(ValueError, match="unknown two-sided bound"):
-            calibrate("no_such_bound", [(1,)], "two_sided_ratio",
-                      RandomStream(1), RandomStream(2))
+            calibrate("no_such_bound", [(1,)], RandomStream(1), RandomStream(2))
 
     def test_refit_reproducible(self):
         grid = [(0.3, 0.5, 200), (0.3, 0.5, 500)]
-        a = calibrate("power_log_sum", grid, "two_sided_ratio",
-                      RandomStream(99), RandomStream(100))
-        b = calibrate("power_log_sum", grid, "two_sided_ratio",
-                      RandomStream(99), RandomStream(100))
+        a = calibrate("power_log_sum", grid, RandomStream(99), RandomStream(100))
+        b = calibrate("power_log_sum", grid, RandomStream(99), RandomStream(100))
         assert json.dumps(a.to_dict(), sort_keys=True) == \
             json.dumps(b.to_dict(), sort_keys=True)
-
-    def test_tail_rate_target(self):
-        def rate_fn(t, stream):
-            report = empirical_tail(
-                lambda X: np.linalg.norm(X, axis=0), 50, lambda s: s,
-                [t], 1000, stream)
-            return report.rates[0]
-
-        rec = calibrate("gauss_tail", [1.0, 2.0], "tail_rate",
-                        RandomStream(101), RandomStream(102), rate_fn=rate_fn)
-        assert math.isfinite(rec.fitted_constant)
-        assert rec.validation_violation_rate <= 0.5
 
 
 class TestCalibrateEmbeddingDimension:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lorentz_embed import (ConstantLedger, WeightSequence, classify_case,
-                           compute_bound_report, corollary_dimension_lp,
-                           corollary_dimension_rp, ellinfty_regime,
+                           compute_bound_report, corollary_dimension_rp,
+                           ellinfty_regime,
                            general_dimension, lomain_EF, lomain_EF_simplified,
                            milman_dimension, orderorder_SR, power_params)
 from lorentz_embed.analytic import median_norm_shape
@@ -142,30 +142,6 @@ class TestCorollaryRp:
             corollary_dimension_rp(1.2, 2.0, 100, 0.1)
 
 
-class TestCorollaryLp:
-    def test_p_two(self):
-        assert corollary_dimension_lp(2.0, 10 ** 4, 0.1, C1=1.0) == pytest.approx(
-            100.0)
-
-    def test_p_four_example(self):
-        # min{1e4 * 0.01, 4 * 100 * sqrt(0.1)} = min{100, 126.49} = 100
-        assert corollary_dimension_lp(4.0, 10 ** 4, 0.1, C1=1.0) == pytest.approx(
-            100.0)
-
-    def test_eps_branch_switch(self):
-        p, n = 4.0, 10 ** 4
-        # small eps: the eps^2 term is smaller; large eps: the eps^(2/p) term
-        assert corollary_dimension_lp(p, n, 1e-4, C1=1.0) == pytest.approx(
-            n * 1e-8)
-        eps = 0.3
-        expected = p * n ** (2.0 / p) * eps ** (2.0 / p)
-        assert corollary_dimension_lp(p, n, eps, C1=1.0) == pytest.approx(expected)
-
-    def test_large_p_rejected(self):
-        with pytest.raises(ValueError, match="ellinfty"):
-            corollary_dimension_lp(20.0, 100, 0.1, C1=1.0)
-
-
 class TestGeneralDimension:
     def test_flat_p2_n2(self):
         w = WeightSequence(np.ones(2))
@@ -260,6 +236,19 @@ class TestBoundReport:
         assert report.k_max == max(1, int(min(applicable)))
         assert not report.asymptotics_not_reached
         assert report.to_dict()["shape_values"]["E"] > 0
+
+    def test_ellinfty_only_above_r_one(self):
+        n, eps = 10 ** 4, 0.1
+        report = compute_bound_report(1.5, 3.0, n, eps)
+        expected = ellinfty_regime(n, eps, 1.5, 3.0).to_dict()
+        assert report.shape_values["ellinfty"] == expected
+        assert report.ledger_values["ellinfty"] == expected
+        # k_max is unchanged: the l_inf bound does not enter it
+        assert report.k_max == max(1, int(min(
+            report.d_milman, min(report.E, report.F), report.d_general)))
+        low = compute_bound_report(1.0, 3.0, n, eps)
+        assert "ellinfty" not in low.shape_values
+        assert "ellinfty" not in low.ledger_values
 
     def test_shape_equals_ledger_with_defaults(self):
         report = compute_bound_report(0.3, 1.4, 1000, 0.2)

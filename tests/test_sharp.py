@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lorentz_embed import (beta_weights, chain_factor, grad_functional,
-                           make_sharp_spec, sharp_norm, sharp_norm_columns,
-                           solve_A0)
+                           make_sharp_spec, sharp_norm, sharp_norm_columns)
 from lorentz_embed.sharp import grad_functional_columns
 from oracle import weighted_power_sum
 
@@ -141,30 +140,6 @@ class TestBetaWeights:
     def test_gate_rejected(self):
         with pytest.raises(ValueError, match="IVb"):
             beta_weights(0.45, 1.1, 10 ** 4)  # (1-2r) ln n < e
-
-
-class TestSolveA0:
-    def test_residual_identity(self):
-        # A0 * ln(n/A0) * A^(1/(p-1)) = 1
-        r, p, n = 0.4, 1.2, 10 ** 6
-        A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
-        A0 = solve_A0(r, p, n)
-        assert A0 * math.log(n / A0) * A ** (1.0 / (p - 1.0)) == pytest.approx(
-            1.0, rel=1e-10)
-
-    def test_bracket_containment(self):
-        r, p, n = 0.4, 1.2, 10 ** 6
-        A0 = solve_A0(r, p, n)
-        assert n ** (1.0 - 3.0 / (2.0 * math.e)) <= A0 <= n / math.e ** 2
-
-    def test_monotone_in_n(self):
-        r, p = 0.3, 1.4
-        values = [solve_A0(r, p, n) for n in (10 ** 4, 10 ** 5, 10 ** 6)]
-        assert values[0] < values[1] < values[2]
-
-    def test_gate_rejected(self):
-        with pytest.raises(ValueError, match="does not apply"):
-            solve_A0(0.4, 1.2, 10 ** 3)  # (1-2r) ln n < e
 
 
 class TestChainFactor:
