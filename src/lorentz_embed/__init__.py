@@ -5,22 +5,24 @@ verification of the almost-isometry and concentration events."""
 from .constants import DEFAULT_LEDGER, KNOWN_CONSTANTS, ConstantLedger
 from .params import LorentzParams, WeightSequence, power_params
 from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
-                    lorentz_norm_columns, psi, psi_columns, psi_gradient_norm)
+                    lorentz_norm_columns, psi, psi_columns, psi_gradient_norm,
+                    rearrange_desc, sort_asc)
 from .sharp import (beta_weights, chain_factor, grad_functional,
                     make_sharp_spec, sharp_norm, sharp_norm_columns,
                     SharpNormSpec)
 from .analytic import (incomplete_gamma_bounds, median_norm_shape,
-                       median_psi_bounds, power_integral_bounds,
-                       power_log_sum_bounds, TwoSidedBound,
+                       median_psi_bounds, normal_orderstat_envelope,
+                       power_integral_bounds, power_log_sum_bounds,
+                       tx_deviation_bound, TwoSidedBound,
                        uniform_orderstat_upper_all, xi1, xi1_inv_upper)
 from .regimes import (BoundReport, RegimeCase, classify_case,
                       compute_bound_report, corollary_dimension_rp,
                       ellinfty_regime, general_dimension, lomain_EF,
                       lomain_EF_simplified, milman_dimension, orderorder_SR)
 from .streams import RandomStream
-from .embedding import (DistortionReport, GaussianMatrix, identity_injection,
-                        measure_distortion, sample_gaussian_matrix,
-                        test_directions)
+from .embedding import (DistortionReport, GaussianMatrix, embed,
+                        identity_injection, measure_distortion,
+                        sample_gaussian_matrix, test_directions)
 from .montecarlo import (CalibrationRecord, EstimatorResult, calibrate,
                          calibrate_embedding_dimension, estimate_median_norm,
                          estimate_median_psi, scaling_probe, verify_embedding,

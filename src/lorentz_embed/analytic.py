@@ -1,6 +1,6 @@
 """Closed-form two-sided estimates: incomplete-gamma integrals, power/log sums,
-power integrals, the xi1 envelope, the uniform order-statistic envelope and
-psi medians."""
+power integrals, the xi1 envelope, order-statistic envelopes and psi
+medians."""
 
 from __future__ import annotations
 
@@ -151,6 +151,27 @@ def uniform_orderstat_upper_all(
         )
         return 1.0 - (n - i) / n * np.exp(-expo)
     raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
+
+
+def normal_orderstat_envelope(
+    n: int,
+    i: int,
+    t: float,
+    ledger: ConstantLedger = DEFAULT_LEDGER,
+) -> float:
+    """High-probability envelope C (ln(n/i) + t^2/i)^(1/2) for X_[i], i <= (n+1)/2."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    if not 1 <= i <= (n + 1) / 2:
+        raise ValueError("need 1 <= i <= (n+1)/2")
+    return ledger.get("C_order") * math.sqrt(math.log(n / i) + t ** 2 / i)
+
+
+def tx_deviation_bound(n: int, t: float, ledger: ConstantLedger = DEFAULT_LEDGER) -> float:
+    """Envelope C min{t^2 / sqrt(ln n), t} for |TX - TY|_inf, T the sorting map."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    return ledger.get("C_order") * min(t ** 2 / math.sqrt(math.log(n)), t)
 
 
 def median_psi_bounds(

@@ -43,6 +43,13 @@ def identity_injection(n: int, k: int) -> GaussianMatrix:
     return GaussianMatrix(n=n, k=k, entries=entries)
 
 
+def embed(G: GaussianMatrix, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (G.k,):
+        raise ValueError(f"expected a length-{G.k} vector, got shape {x.shape}")
+    return G.entries @ x
+
+
 def test_directions(k: int, count: int, mode: str, stream: RandomStream | None = None) -> np.ndarray:
     """Unit test directions as a (k, count) matrix of columns.
 

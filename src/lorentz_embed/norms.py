@@ -1,4 +1,4 @@
-"""Lorentz norms, the psi potential and its gradient, and Lipschitz constants."""
+"""Rearrangements, Lorentz norms, the psi potential and Lipschitz constants."""
 
 from __future__ import annotations
 
@@ -18,6 +18,21 @@ def _check_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
     return x
+
+
+def rearrange_desc(x) -> np.ndarray:
+    """Non-increasing rearrangement of the absolute values of x."""
+    x = _check_vector(x)
+    return np.sort(np.abs(x))[::-1]
+
+
+def sort_asc(x) -> np.ndarray:
+    """Non-decreasing rearrangement of the coordinates of x (signs kept).
+
+    As a map on R^n this is 1-Lipschitz for the Euclidean norm.
+    """
+    x = _check_vector(x)
+    return np.sort(x)
 
 
 def _check_dim(params: LorentzParams, x: np.ndarray):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorentz_embed import (RandomStream, estimate_median_norm,
+from lorentz_embed import (RandomStream, embed, estimate_median_norm,
                            identity_injection, lorentz_norm_columns,
                            measure_distortion, power_params,
                            sample_gaussian_matrix)
@@ -82,6 +82,32 @@ class TestGaussianMatrix:
             b[j] = np.linalg.norm(G @ theta)
         stat, pvalue = stats.ks_2samp(a, b)
         assert pvalue > 0.01
+
+
+class TestEmbed:
+    def test_basis_action(self):
+        G = sample_gaussian_matrix(10, 3, RandomStream(31))
+        e2 = np.array([0.0, 1.0, 0.0])
+        assert np.array_equal(embed(G, e2), G.entries[:, 1])
+
+    def test_zero(self):
+        G = sample_gaussian_matrix(10, 3, RandomStream(31))
+        assert np.all(embed(G, np.zeros(3)) == 0.0)
+
+    def test_linearity(self):
+        G = sample_gaussian_matrix(10, 3, RandomStream(31))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x, y = rng.standard_normal((2, 3))
+            a, b = rng.standard_normal(2)
+            lhs = embed(G, a * x + b * y)
+            rhs = a * embed(G, x) + b * embed(G, y)
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        G = sample_gaussian_matrix(10, 3, RandomStream(31))
+        with pytest.raises(ValueError):
+            embed(G, np.ones(4))
 
 
 class TestDirections:
