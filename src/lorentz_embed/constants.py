@@ -12,11 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-# Every constant name used anywhere in the package.  Unknown names are
-# rejected so that typos cannot silently fall back to 1.0.
+# Every constant that some formula reads through ConstantLedger.get.  Other
+# names are rejected, so that a typo or an unread constant cannot silently
+# leave a report unchanged.
 KNOWN_CONSTANTS = (
-    "C_gauss",        # concentration width, classical Gaussian inequality
-    "c_gauss",        # concentration decay rate
     "C_order",        # order-statistic envelopes
     "c_order",        # Renyi-type exponent rate
     "C_median_upper",  # upper median estimate for psi(X)
@@ -24,12 +23,10 @@ KNOWN_CONSTANTS = (
     "C_bound",        # generic upper constant in two-sided analytic bounds
     "c_bound",        # generic lower constant in two-sided analytic bounds
     "c_dim",          # embedding-dimension formulas (d, E, F, d_general)
-    "c2_dim",         # secondary dimension constant (l_p corollary)
-    "c_rp",           # the (r, p)-dependent coefficient in simplified tables
+    "c_rp",           # the (r, p) coefficient: simplified (E, F) tables and d'
     "c2_ellinfty",    # dimension constant in the ell-infinity regime
-    "C1_ellinfty",    # norm-equivalence constant in the ell-infinity regime
     "c_ellinfty_gate",  # applicability threshold for the ell-infinity regime
-    "C_sharp",        # sharp-norm quantile constant S
+    "C_sharp",        # sharp-norm quantile constant S and the (A, B) tables
 )
 
 
@@ -43,8 +40,10 @@ class ConstantLedger:
         for name, v in self.values.items():
             if name not in KNOWN_CONSTANTS:
                 raise ValueError(f"unknown constant name: {name!r}")
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"constant {name!r} must be positive and finite, got {v}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not (math.isfinite(v) and v > 0):
+                raise ValueError(f"constant {name!r} must be a positive finite number, "
+                                 f"got {v!r}")
 
     def get(self, name: str) -> float:
         if name not in KNOWN_CONSTANTS:
@@ -57,7 +56,10 @@ class ConstantLedger:
     @classmethod
     def from_json(cls, path: str) -> "ConstantLedger":
         with open(path) as fh:
-            return cls(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("ledger_file must hold a JSON object of named constants")
+        return cls(values)
 
 
 DEFAULT_LEDGER = ConstantLedger()

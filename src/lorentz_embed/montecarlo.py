@@ -20,8 +20,7 @@ from .streams import RandomStream
 # chunk sizes are fixed so that results never depend on worker count
 TRIAL_CHUNK = 200
 DIRECTION_CHUNK = 2000
-BOOTSTRAP_RESAMPLES = 1000
-BOOTSTRAP_BLOCK = 50  # resamples drawn and reduced at a time, to bound memory
+BOOTSTRAP_RESAMPLES = 1000  # replicates of the probe's slope CI
 Z95 = 1.959963984540054  # standard normal 0.975 quantile
 # the k-searches: least success rate of a passing k, and the calibration's
 # shrink factor from the largest passing k to the reported one
@@ -48,62 +47,53 @@ class EstimatorResult:
     ci_low: float
     ci_high: float
     samples: int
-    stream: RandomStream
 
     def __post_init__(self):
         if not self.ci_low <= self.point <= self.ci_high:
             raise RuntimeError("point estimate outside its confidence interval")
 
-    def to_dict(self) -> dict:
-        return {"point": self.point, "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "samples": self.samples,
-                "stream": {"master_seed": self.stream.master_seed,
-                           "stream_id": self.stream.stream_id}}
-
 
 def _normal_chunks(n: int, samples: int, stream: RandomStream):
     """i.i.d. standard normal (n, m) chunks of TRIAL_CHUNK columns, samples
-    columns in all; chunk c is drawn from stream.substream(c)."""
-    for chunk_index, start in enumerate(range(0, samples, TRIAL_CHUNK)):
-        rng = stream.substream(chunk_index).generator()
-        yield rng.standard_normal((n, min(TRIAL_CHUNK, samples - start)))
+    columns in all; chunk c is drawn from stream.substream(c).
 
-
-def _bootstrap_median_ci(values: np.ndarray, stream: RandomStream) -> tuple[float, float]:
-    """Percentile 95% CI of the median over BOOTSTRAP_RESAMPLES resamples.
-
-    The resample indices are drawn BOOTSTRAP_BLOCK rows at a time from one
-    generator, which yields the same indices as a single full-size draw.
+    Every chunk is drawn into the same buffer, so a chunk is valid only until
+    the next one is drawn. One allocation per call, not one per chunk, keeps
+    the peak memory from depending on where the allocator puts freed chunks.
     """
-    rng = stream.generator()
-    m = values.size
-    medians = []
-    for start in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK):
-        rows = min(BOOTSTRAP_BLOCK, BOOTSTRAP_RESAMPLES - start)
-        medians.append(np.median(values[rng.integers(0, m, size=(rows, m))], axis=1))
-    medians = np.concatenate(medians)
-    return float(np.quantile(medians, 0.025)), float(np.quantile(medians, 0.975))
+    buffer = np.empty(n * min(TRIAL_CHUNK, samples))
+    for chunk_index, start in enumerate(range(0, samples, TRIAL_CHUNK)):
+        X = buffer[:n * min(TRIAL_CHUNK, samples - start)].reshape(n, -1)
+        stream.substream(chunk_index).generator().standard_normal(out=X)
+        yield X
 
 
 def _estimate_median(columns_fn, params: LorentzParams, samples: int,
                      stream: RandomStream) -> EstimatorResult:
+    """Sample median with the distribution-free 95% interval between the
+    order statistics of ranks floor(m/2 - h) + 1 and ceil(m/2 + h) + 1,
+    h = Z95 sqrt(m) / 2: it covers the true median with probability
+    P(floor(m/2 - h) + 1 <= Bin(m, 1/2) <= ceil(m/2 + h)), whatever the law."""
     if samples < 100:
         raise ValueError("samples must be at least 100")
     values = np.concatenate([columns_fn(params, X)
                              for X in _normal_chunks(params.n, samples, stream)])
-    point = float(np.median(values))
-    lo, hi = _bootstrap_median_ci(values, stream.substream(10 ** 6))
-    return EstimatorResult(point=point, ci_low=min(lo, point), ci_high=max(hi, point),
-                           samples=samples, stream=stream)
+    values.sort()
+    half = Z95 * math.sqrt(samples) / 2.0
+    return EstimatorResult(
+        point=float(np.median(values)),
+        ci_low=float(values[max(0, math.floor(samples / 2.0 - half))]),
+        ci_high=float(values[min(samples - 1, math.ceil(samples / 2.0 + half))]),
+        samples=samples)
 
 
 def estimate_median_norm(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
-    """Empirical median of |X|_{w,p} with a percentile-bootstrap 95% CI."""
+    """Empirical median of |X|_{w,p} with an order-statistic 95% CI."""
     return _estimate_median(lorentz_norm_columns, params, samples, stream)
 
 
 def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
-    """Empirical median of psi(X) = sum_i w_i X_[i]^p with a bootstrap CI."""
+    """Empirical median of psi(X) = sum_i w_i X_[i]^p with an order-statistic 95% CI."""
     return _estimate_median(psi_columns, params, samples, stream)
 
 

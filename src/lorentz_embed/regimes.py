@@ -11,9 +11,7 @@ from .analytic import _log_power_sum, median_norm_shape
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import lipschitz_constant
 from .params import WeightSequence, power_params
-from .sharp import P_BOUNDARY_TOL, _case_ii_sum, _case_iva_A
-
-FIGURE1_CASES = ("ia", "ib*", "ib**", "iia", "iib*", "iib**", "iii", "iv")
+from .sharp import _case_ii_sum, _case_iva_A, _on_iv_boundary
 
 
 @dataclass(frozen=True)
@@ -22,10 +20,6 @@ class RegimeCase:
     orderorder: str
 
     to_dict = asdict
-
-
-def _on_iv_boundary(r: float, p: float) -> bool:
-    return abs(p - (2.0 - 2.0 * r)) <= P_BOUNDARY_TOL
 
 
 def classify_case(r: float, p: float, n: int) -> RegimeCase:

@@ -40,8 +40,13 @@ def _grad_weights(r: float, n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) ** (-2.0 * r)
 
 
+def _on_iv_boundary(r: float, p: float) -> bool:
+    """Whether p = 2 - 2r, the Case IV family, within P_BOUNDARY_TOL."""
+    return abs(p - (2.0 - 2.0 * r)) <= P_BOUNDARY_TOL
+
+
 def _check_case_iv_family(r: float, p: float):
-    if abs(p - 2.0 * (1.0 - r)) > P_BOUNDARY_TOL:
+    if not _on_iv_boundary(r, p):
         raise ValueError(f"Case IV requires p = 2(1-r); got p={p}, r={r}")
     if not (0.25 < r <= 0.5):
         raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")

@@ -198,7 +198,7 @@ class TestExitCodes:
         assert "RuntimeError: quantile exceeds reported maximum" in err
 
     @pytest.mark.parametrize("build", [
-        lambda: EstimatorResult(2.0, 0.0, 1.0, 100, RandomStream(0)),
+        lambda: EstimatorResult(2.0, 0.0, 1.0, 100),
         lambda: DistortionReport(1.0, 0.1, {0.5: 0.2}, 10, "grid2d"),
         lambda: TwoSidedBound(2.0, 1.0, 1.0, ()),
     ], ids=["EstimatorResult", "DistortionReport", "TwoSidedBound"])
@@ -297,6 +297,22 @@ class TestLedgerFile:
         assert code == 1
         assert out == ""
         assert f"ledger_file is not read by {command}" in err
+
+    @pytest.mark.parametrize("content, field", [
+        ([1, 2], "ledger_file"),
+        ({"c_dim": "2"}, "c_dim"),
+        ({"c_dim": None}, "c_dim"),
+        ({"c_dim": True}, "c_dim"),
+        ({"C_gauss": 5}, "unknown constant name: 'C_gauss'"),
+    ], ids=["list", "string", "null", "bool", "unread-constant"])
+    def test_malformed_file_names_the_field(self, content, field, tmp_path, capsys):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps(content))
+        code, out, err = run(["bound", "--r", "0", "--p", "3", "--n", "100",
+                              "--eps", "0.1", "--ledger-file", str(ledger)], capsys)
+        assert code == 1
+        assert out == ""
+        assert field in err
 
 
 class TestCalibrateAndProbe:

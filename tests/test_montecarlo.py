@@ -67,17 +67,48 @@ class TestMedianEstimators:
         psi = estimate_median_psi(params, 1001, RandomStream(74))
         assert psi.point == pytest.approx(norm.point ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("block", [montecarlo.BOOTSTRAP_BLOCK, 7])
-    def test_bootstrap_blocks_match_one_shot_draw(self, block, monkeypatch):
-        monkeypatch.setattr(montecarlo, "BOOTSTRAP_BLOCK", block)
-        values = np.random.default_rng(75).standard_normal(1001)
-        stream = RandomStream(76)
-        idx = stream.generator().integers(
-            0, values.size, size=(montecarlo.BOOTSTRAP_RESAMPLES, values.size))
-        medians = np.median(values[idx], axis=1)
-        expected = (float(np.quantile(medians, 0.025)),
-                    float(np.quantile(medians, 0.975)))
-        assert montecarlo._bootstrap_median_ci(values, stream) == expected
+    @pytest.mark.parametrize("samples", [1001, 10 ** 4])
+    def test_interval_ends_are_order_statistics(self, samples):
+        params = power_params(0.3, 1.5, 40)
+        res = estimate_median_norm(params, samples, RandomStream(75))
+        values = np.sort(np.concatenate([
+            lorentz_norm_columns(params, X)
+            for X in montecarlo._normal_chunks(params.n, samples, RandomStream(75))]))
+        half = montecarlo.Z95 * math.sqrt(samples) / 2.0
+        assert res.point == float(np.median(values))
+        assert res.ci_low == values[math.floor(samples / 2 - half)]
+        assert res.ci_high == values[math.ceil(samples / 2 + half)]
+        assert res.samples == samples
+
+    def test_draws_only_the_sample_chunks(self, monkeypatch):
+        built = []
+        generator = RandomStream.generator
+
+        def counted(self):
+            built.append(self.path)
+            return generator(self)
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        estimate_median_norm(power_params(0.0, 2.0, 10), 10 ** 4, RandomStream(76))
+        assert len(built) == math.ceil(10 ** 4 / montecarlo.TRIAL_CHUNK) == 50
+
+    def test_interval_coverage_over_seeds(self):
+        params = power_params(0.0, 2.0, 100)
+        covered = 0
+        for seed in range(200):
+            res = estimate_median_norm(params, 2000, RandomStream(seed))
+            covered += res.ci_low <= CHI100_MEDIAN <= res.ci_high
+        assert 0.92 <= covered / 200 <= 0.98
+
+    def test_chunks_match_fresh_draws(self):
+        # the chunks share one buffer; each must still equal its own draw,
+        # the short last chunk included
+        stream = RandomStream(77)
+        chunks = [X.copy() for X in montecarlo._normal_chunks(7, 450, stream)]
+        assert [X.shape for X in chunks] == [(7, 200), (7, 200), (7, 50)]
+        for c, X in enumerate(chunks):
+            expected = stream.substream(c).generator().standard_normal(X.shape)
+            assert np.array_equal(X, expected)
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
