@@ -7,9 +7,8 @@ from .params import LorentzParams, WeightSequence, power_params
 from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
                     lorentz_norm_columns, psi, psi_columns, psi_gradient_norm,
                     rearrange_desc, sort_asc)
-from .sharp import (beta_weights, chain_factor, grad_functional,
-                    make_sharp_spec, sharp_norm, sharp_norm_columns,
-                    SharpNormSpec)
+from .sharp import (beta_weights, grad_functional, make_sharp_spec,
+                    sharp_norm, sharp_norm_columns, SharpNormSpec)
 from .analytic import (incomplete_gamma_bounds, median_norm_shape,
                        median_psi_bounds, normal_orderstat_envelope,
                        power_integral_bounds, power_log_sum_bounds,
@@ -18,7 +17,7 @@ from .analytic import (incomplete_gamma_bounds, median_norm_shape,
 from .regimes import (BoundReport, RegimeCase, classify_case,
                       compute_bound_report, corollary_dimension_rp,
                       ellinfty_regime, general_dimension, lomain_EF,
-                      lomain_EF_simplified, milman_dimension, orderorder_SR)
+                      lomain_EF_simplified, milman_dimension)
 from .streams import RandomStream
 from .embedding import (DistortionReport, GaussianMatrix, embed,
                         identity_injection, measure_distortion,

@@ -41,6 +41,15 @@ def _is_number_list(value) -> bool:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a path string"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is str:
+        return isinstance(value, str)
+    return _is_number_list([value]) and (kind is float or isinstance(value, int))
+
+
 def _load_weights_file(config: dict) -> WeightSequence:
     """One weight per line, validated against the weight-sequence invariants;
     the sha256 of the file's bytes is echoed in the report config."""
@@ -54,15 +63,15 @@ def _load_weights_file(config: dict) -> WeightSequence:
 # option name -> keywords of its flag: --seed for master_seed, else --name-with-dashes
 _OPTIONS = {
     "r": {"type": float},
-    "weights_file": {"help": "one weight per line; replaces --r and --n"},
+    "weights_file": {"type": str, "help": "one weight per line; replaces --r and --n"},
     "p": {"type": float}, "n": {"type": int}, "eps": {"type": float},
-    "ledger_file": {"help": "JSON object of named constants"},
+    "ledger_file": {"type": str, "help": "JSON object of named constants"},
     "master_seed": {"type": int}, "trials": {"type": int},
     "samples": {"type": int}, "directions": {"type": int}, "k": {"type": int},
     "mode": {"choices": ["random_sphere", "grid2d"]}, "case": {},
     "t": {"type": float}, "min_success": {"type": float},
     "validation_seed": {"type": int},
-    "grid_file": {"help": "JSON list of grid points for ratio targets"},
+    "grid_file": {"type": str, "help": "JSON list of grid points for ratio targets"},
     "eps_grid": {"help": "comma-separated eps values"},
 }
 
@@ -128,11 +137,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if not isinstance(given, dict):
         raise UsageError("config must be a JSON object")
     for name, value in given.items():  # flags are typed by the parser already
-        kind = _OPTIONS.get(name, {}).get("type")
-        if kind and value is not None and not (
-                _is_number_list([value]) and (kind is float or isinstance(value, int))):
-            raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}")
+        kind = str if name == "output" else _OPTIONS.get(name, {}).get("type")
+        if kind and value is not None and not _is_kind(value, kind):
+            raise UsageError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     flags = {k: v for k, v in vars(args).items() if k != "config"}
     given = {k: v for source in (given, flags) for k, v in source.items()
              if v is not None}

@@ -26,7 +26,7 @@ KNOWN_CONSTANTS = (
     "c_rp",           # the (r, p) coefficient: simplified (E, F) tables and d'
     "c2_ellinfty",    # dimension constant in the ell-infinity regime
     "c_ellinfty_gate",  # applicability threshold for the ell-infinity regime
-    "C_sharp",        # sharp-norm quantile constant S and the (A, B) tables
+    "C_sharp",        # quantile level S of each order-order case
 )
 
 

@@ -13,8 +13,8 @@ from .constants import ConstantLedger
 from .embedding import sample_gaussian_matrix, test_directions
 from .norms import lorentz_norm_columns, psi_columns
 from .params import LorentzParams, power_params
-from .regimes import corollary_dimension_rp, orderorder_SR
-from .sharp import chain_factor, grad_functional_columns, make_sharp_spec, sharp_norm_columns
+from .regimes import corollary_dimension_rp
+from .sharp import grad_functional_columns, make_sharp_spec, sharp_norm_columns
 from .streams import RandomStream
 
 # chunk sizes are fixed so that results never depend on worker count
@@ -156,13 +156,13 @@ def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
     """Check P{|X|_sharp <= S} and the implication |X|_sharp <= S => grad sum <= R.
 
     R is derived from S through the case's own deterministic comparison chain
-    (R = K S^(2(p-1)) with K from chain_factor), which makes the implication a
-    deterministic fact: implication_violations must be 0 for every sample.
+    (R = K S^(2(p-1)) with S and K from make_sharp_spec), which makes the
+    implication a deterministic fact: implication_violations must be 0 for
+    every sample.
     """
-    spec = make_sharp_spec(case, r, p, n, t)
-    bounds = orderorder_SR(case, r, p, n, t, ledger)
-    S = bounds.S
-    K = chain_factor(spec)
+    spec = make_sharp_spec(case, r, p, n, t, ledger)
+    _check_counts(trials=trials)
+    S, K = spec.S, spec.K
     q = 2.0 * (p - 1.0)
     R = K * S ** q
 

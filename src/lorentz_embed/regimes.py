@@ -11,7 +11,9 @@ from .analytic import _log_power_sum, median_norm_shape
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import lipschitz_constant
 from .params import WeightSequence, power_params
-from .sharp import _case_ii_sum, _case_iva_A, _on_iv_boundary
+
+# tolerance used to detect the boundary family p = 2(1-r)
+P_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -20,6 +22,11 @@ class RegimeCase:
     orderorder: str
 
     to_dict = asdict
+
+
+def _on_iv_boundary(r: float, p: float) -> bool:
+    """Whether p = 2 - 2r, the Case IV family, within P_BOUNDARY_TOL."""
+    return abs(p - (2.0 - 2.0 * r)) <= P_BOUNDARY_TOL
 
 
 def classify_case(r: float, p: float, n: int) -> RegimeCase:
@@ -131,6 +138,38 @@ def lomain_EF(
     return E, F
 
 
+def _simplified_EF(r: float, p: float, n: int, eps: float) -> tuple[float, float]:
+    """The simplified lower-bound table for (E, F), without its c_rp factor."""
+    ln = math.log(n)
+    e2 = eps ** 2
+    ep = eps ** (2.0 / p)
+    if r < 0.5:
+        E = n * e2
+    elif r == 0.5:
+        E = n * ln ** (-p) * e2
+    elif r < 1.0:
+        E = n ** (2.0 * (1.0 - r)) * ln ** (-(p - 1.0)) * e2
+    elif r == 1.0:
+        E = ln ** 3 * e2
+    else:
+        # the table stops at r = 1; beyond it the full display gives ~ln n
+        E = ln * e2
+    if r <= 0.5:
+        if p < 2.0 - 2.0 * r:
+            F = n * ep
+        elif _on_iv_boundary(r, p):
+            F = n * ln ** (1.0 - 2.0 / p) * ep
+        else:
+            F = n ** (2.0 * (1.0 - r) / p) * ep
+    elif r < 1.0:
+        F = n ** (2.0 * (1.0 - r) / p) * ep
+    elif r == 1.0:
+        F = ln ** (1.0 + 2.0 / p) * ep
+    else:
+        F = ln * ep
+    return E, F
+
+
 def lomain_EF_simplified(
     r: float,
     p: float,
@@ -143,33 +182,8 @@ def lomain_EF_simplified(
         raise ValueError("eps must lie in (0, 1/2)")
     classify_case(r, p, n)  # domain validation
     crp = ledger.get("c_rp")
-    ln = math.log(n)
-    if r < 0.5:
-        E = crp * n * eps ** 2
-    elif r == 0.5:
-        E = crp * n * ln ** (-p) * eps ** 2
-    elif r < 1.0:
-        E = crp * n ** (2.0 * (1.0 - r)) * ln ** (-(p - 1.0)) * eps ** 2
-    elif r == 1.0:
-        E = crp * ln ** 3 * eps ** 2
-    else:
-        # the table stops at r = 1; beyond it the full display gives ~ln n
-        E = crp * ln * eps ** 2
-    ep = eps ** (2.0 / p)
-    if r <= 0.5:
-        if p < 2.0 - 2.0 * r:
-            F = crp * n * ep
-        elif _on_iv_boundary(r, p):
-            F = crp * n * ln ** (1.0 - 2.0 / p) * ep
-        else:
-            F = crp * n ** (2.0 * (1.0 - r) / p) * ep
-    elif r < 1.0:
-        F = crp * n ** (2.0 * (1.0 - r) / p) * ep
-    elif r == 1.0:
-        F = crp * ln ** (1.0 + 2.0 / p) * ep
-    else:
-        F = crp * ln * ep
-    return E, F
+    E, F = _simplified_EF(r, p, n, eps)
+    return crp * E, crp * F
 
 
 def corollary_dimension_rp(
@@ -179,31 +193,17 @@ def corollary_dimension_rp(
     eps: float,
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> float:
-    """The improved sufficient dimension d' for the power-weight family, r <= 1."""
+    """The improved sufficient dimension d' = c_rp min(E', F') of the simplified
+    table, for the power-weight family with r <= 1."""
     if r > 1.0:
         raise ValueError("r > 1 is excluded; use ellinfty_regime instead")
     if not (0.0 <= r and 1.0 <= p):
         raise ValueError("need r in [0, 1] and p >= 1")
     if n < 2:
         raise ValueError("n must be at least 2")
-    crp = ledger.get("c_rp")
-    ln = math.log(n)
-    e2 = eps ** 2
-    ep = eps ** (2.0 / p)
-    if r < 0.5:
-        if p < 2.0 - 2.0 * r:
-            return crp * n * e2
-        if _on_iv_boundary(r, p):
-            return crp * min(n * e2, n * ln ** (1.0 - 2.0 / p) * ep)
-        return crp * min(n * e2, n ** (2.0 * (1.0 - r) / p) * ep)
-    if r == 0.5:
-        if p == 1.0:
-            return crp * n * e2 / ln
-        return crp * min(n * ln ** (-p) * e2, n ** (1.0 / p) * ep)
-    if r < 1.0:
-        return crp * min(n ** (2.0 * (1.0 - r)) * ln ** (-(p - 1.0)) * e2,
-                         n ** (2.0 * (1.0 - r) / p) * ep)
-    return crp * min(ln ** 3 * e2, ln ** (1.0 + 2.0 / p) * ep)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    return ledger.get("c_rp") * min(_simplified_EF(r, p, n, eps))
 
 
 def general_dimension(
@@ -274,103 +274,6 @@ def ellinfty_regime(
     k_bound = ledger.get("c2_ellinfty") * eps * ln / log_inv_eps
     # as eps -> 1 the bound blows up past the ambient dimension and says nothing
     return EllInftyResult(applicable, k_bound, vacuous=k_bound >= n)
-
-
-@dataclass(frozen=True)
-class OrderOrderBounds:
-    """Quantile level S, gradient bound R and the simplified (A, B) pair."""
-
-    S: float
-    R: float
-    A: float
-    B: float
-
-    to_dict = asdict
-
-
-def _simplified_AB(case: str, r: float, p: float, n: int,
-                   ledger: ConstantLedger) -> tuple[float, float]:
-    """The proof's simplified tables: R <= A + B t^(2(p-1)) for r <= 2."""
-    C = ledger.get("C_sharp")
-    ln = math.log(n)
-    a2 = abs(2.0 - 2.0 * r - p)
-    if case == "I":
-        if r <= 0.5:
-            A = C ** p * p ** p * n ** (1.0 - 2.0 * r) * ln ** p \
-                / (p + (1.0 - 2.0 * r) * ln) ** p
-        else:
-            A = C ** p * ln ** p / (1.0 + (2.0 * r - 1.0) * ln)
-        B = C ** p * (ln / (1.0 + a2 * ln)) ** max(2.0 - p, 0.0) \
-            * (1.0 + n ** (2.0 - 2.0 * r - p))
-    elif case == "II":
-        if r <= 0.5:
-            A = C * n ** (1.0 - 2.0 * r) * ln ** p / (1.0 + (1.0 - 2.0 * r) * ln) ** p
-        else:
-            A = C * ln ** p / (1.0 + (2.0 * r - 1.0) * ln)
-        B = C * (1.0 + n ** (2.0 - 2.0 * r - p)) * ln / (1.0 + a2 * ln)
-    elif case == "III":
-        A = C * n ** (1.0 - 2.0 * r)
-        B = C * n ** (2.0 - 2.0 * r - p) * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** (p - 1.0)
-    else:  # IVa / IVb
-        A = C * min(1.0 / (1.0 - 2.0 * r) if r < 0.5 else math.inf, ln) \
-            * n ** (1.0 - 2.0 * r)
-        B = C * ln ** (2.0 - p)
-    return A, B
-
-
-def orderorder_SR(
-    case: str,
-    r: float,
-    p: float,
-    n: int,
-    t: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> OrderOrderBounds:
-    """S, R and the simplified (A, B) of the gradient bound for one case."""
-    expected = classify_case(min(r, 2.0), p, n).orderorder if r <= 2.0 else None
-    if r <= 2.0 and case != expected:
-        raise ValueError(f"case {case!r} does not match (r={r}, p={p}, n={n}): "
-                         f"expected {expected!r}")
-    C = ledger.get("C_sharp")
-    ln = math.log(n)
-    q = 2.0 * (p - 1.0)
-    if case == "I":
-        # the full-form (A, B); the simplified pair is reported alongside
-        a2 = abs(2.0 - 2.0 * r - p)
-        A_thm = _simplified_AB("I", r, p, n, ledger)[0]
-        if r > 0.5:
-            A_thm += C ** p * ln ** (p - 1.0)
-        if p < 2.0:
-            B_thm = C * (1.0 + (ln / (1.0 + a2 * ln)) ** (2.0 - p)
-                         * (1.0 + n ** (2.0 - 2.0 * r - p)))
-        else:
-            B_thm = C ** p
-        R = A_thm + B_thm * t ** q
-        S = R ** (1.0 / q)
-        A, B = _simplified_AB("I", min(r, 2.0), p, n, ledger)
-    elif case == "II":
-        S = C * _case_ii_sum(r, p, n, t)
-        R = S
-        A, B = _simplified_AB("II", r, p, n, ledger)
-    elif case == "III":
-        S = C * n ** (1.0 - 2.0 * r) + C * n ** ((1.0 - 4.0 * r) / 2.0) \
-            * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** 0.5 * t
-        R = C * n ** ((1.0 - 2.0 * r) * (3.0 - 2.0 * p)) * S ** q
-        A, B = _simplified_AB("III", r, p, n, ledger)
-    elif case == "IVa":
-        _case_iva_A(r, p, n)  # validates sub-case preconditions
-        S = C ** (1.0 / (p - 1.0)) * (1.0 - 2.0 * r) ** (-p / q) \
-            * ln ** (-(3.0 - 2.0 * p) / q) * n ** 0.5 \
-            + C ** (1.0 / (p - 1.0)) * ln ** 0.5 * t
-        R = C * ln ** (3.0 - 2.0 * p) * S ** q
-        A, B = _simplified_AB("IV", r, p, n, ledger)
-    elif case == "IVb":
-        S = C * n ** 0.5 + t
-        R = C * ln * S ** q
-        A, B = _simplified_AB("IV", r, p, n, ledger)
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return OrderOrderBounds(S=S, R=R, A=A, B=B)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Auxiliary norms bounding the gradient functional sum_i i^(-2r) x_[i]^(2(p-1)).
 
-Each parameter regime gets its own auxiliary norm together with a
-deterministic comparison factor K such that
+Each order-order case gets its own auxiliary norm together with a quantile
+level S and a deterministic comparison factor K such that
 
     sum_{i=1}^n i^(-2r) x_[i]^(2(p-1))  <=  K * |x|_aux^(2(p-1))
 
@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import _check_columns, _check_vector, _power_sum
-
-CASES = ("I", "II", "III", "IVa", "IVb")
-
-# tolerance used to detect the boundary family p = 2(1-r)
-P_BOUNDARY_TOL = 1e-12
+from .regimes import _on_iv_boundary, classify_case
 
 
 def grad_functional(r: float, p: float, x) -> float:
@@ -40,31 +37,11 @@ def _grad_weights(r: float, n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) ** (-2.0 * r)
 
 
-def _on_iv_boundary(r: float, p: float) -> bool:
-    """Whether p = 2 - 2r, the Case IV family, within P_BOUNDARY_TOL."""
-    return abs(p - (2.0 - 2.0 * r)) <= P_BOUNDARY_TOL
-
-
 def _check_case_iv_family(r: float, p: float):
     if not _on_iv_boundary(r, p):
         raise ValueError(f"Case IV requires p = 2(1-r); got p={p}, r={r}")
     if not (0.25 < r <= 0.5):
         raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")
-
-
-def _case_iva_A(r: float, p: float, n: int) -> float:
-    """A = (1-2r)^p ln(n) / n^(1-2r), after checking that Case IVa applies."""
-    _check_case_iv_family(r, p)
-    if (1.0 - 2.0 * r) * math.log(n) < math.e:
-        raise ValueError("(1-2r) ln n < e: Case IVa does not apply, use Case IVb "
-                         "(Euclidean) instead")
-    return (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
-
-
-def _case_ii_sum(r: float, p: float, n: int, t: float) -> float:
-    """sum_{i <= n/e} i^(-2r) (ln(n/i) + t^2/i)^(p-1), the Case II quantile sum."""
-    i = np.arange(1, int(n / math.e) + 1, dtype=float)
-    return float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
 
 
 def beta_weights(r: float, p: float, n: int) -> np.ndarray:
@@ -73,62 +50,112 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     beta_i = (1-2r)^p ln(n) / n^(1-2r) * i^(-2r) (ln(n/i))^(p-1) + 1/i.
     Requires p = 2(1-r) with r in (1/4, 1/2] and (1-2r) ln(n) >= e.
     """
-    A = _case_iva_A(r, p, n)
+    _check_case_iv_family(r, p)
+    if (1.0 - 2.0 * r) * math.log(n) < math.e:
+        raise ValueError("(1-2r) ln n < e: Case IVa does not apply, use Case IVb "
+                         "(Euclidean) instead")
+    A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
     i = np.arange(1, int(n / math.e) + 1, dtype=float)
     return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
 
 
 @dataclass(frozen=True)
 class SharpNormSpec:
-    """Precomputed evaluation plan for one case of the auxiliary norm."""
+    """One case's auxiliary norm (sum_i coefficients_i x_[i]^exponent)^(1/exponent),
+    its quantile level S and its comparison factor K."""
 
     case: str
-    r: float
-    p: float
     n: int
-    t: float
     coefficients: np.ndarray = field(repr=False)
+    exponent: float
+    S: float
+    K: float
     is_norm: bool = True
 
-    def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}")
+
+def _check_classified(case: str, r: float, p: float, n: int):
+    """Reject a case that classify_case does not give; r > 2 lies outside its map."""
+    expected = classify_case(r, p, n).orderorder if r <= 2.0 else case
+    if case != expected:
+        raise ValueError(f"case {case!r} does not match (r={r}, p={p}, n={n}): "
+                         f"expected {expected!r}")
 
 
-def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0) -> SharpNormSpec:
-    """Build the auxiliary-norm spec for one case, validating its preconditions."""
+def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
+                    ledger: ConstantLedger = DEFAULT_LEDGER) -> SharpNormSpec:
+    """Build one case's auxiliary norm with its S and K, after checking the
+    case's preconditions and that the case is the one classify_case gives.
+
+    Case I's norm is the 2(p-1)-th root of the gradient sum (K = 1).  Cases
+    II and IVa restrict the sum to i <= floor(n/e) by block comparison of the
+    non-increasing summands (factor ceil(n / floor(n/e))) and then apply
+    Hoelder with exponents 1/(2(p-1)) and 1/(3-2p).  Case III is pure Hoelder
+    over the full range, and Case IVb is Hoelder against the Euclidean norm
+    using 2r = 2 - p.  S carries the ledger constant C_sharp.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if t <= 0.0:
         raise ValueError("t must be positive")
+    C = ledger.get("C_sharp")
+    ln = math.log(n)
+    q = 2.0 * (p - 1.0)
     if case == "I":
         if p < 1.5:
             raise ValueError("Case I requires p >= 3/2")
-        return SharpNormSpec("I", r, p, n, t, _grad_weights(r, n))
+        _check_classified(case, r, p, n)
+        if r <= 0.5:
+            A = C ** p * p ** p * n ** (1.0 - 2.0 * r) * ln ** p \
+                / (p + (1.0 - 2.0 * r) * ln) ** p
+        else:
+            A = C ** p * ln ** p / (1.0 + (2.0 * r - 1.0) * ln) + C ** p * ln ** (p - 1.0)
+        if p < 2.0:
+            a2 = abs(2.0 - 2.0 * r - p)
+            B = C * (1.0 + (ln / (1.0 + a2 * ln)) ** (2.0 - p)
+                     * (1.0 + n ** (2.0 - 2.0 * r - p)))
+        else:
+            B = C ** p
+        S = (A + B * t ** q) ** (1.0 / q)
+        return SharpNormSpec(case, n, _grad_weights(r, n), q, S, 1.0)
     if case == "II":
         if not (1.0 <= p < 1.5):
             raise ValueError("Case II requires 1 <= p < 3/2")
         if n < 3:
             raise ValueError("Case II requires n >= 3")
-        m = int(n / math.e)
-        i = np.arange(1, m + 1, dtype=float)
+        _check_classified(case, r, p, n)
+        i = np.arange(1, int(n / math.e) + 1, dtype=float)
+        T = float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
         coeff = i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (-(3.0 - 2.0 * p) / 2.0)
-        return SharpNormSpec("II", r, p, n, t, coeff, is_norm=p >= 1.5 - 2.0 * r)
+        K = math.ceil(n / i.size) * T ** (3.0 - 2.0 * p)
+        return SharpNormSpec(case, n, coeff, 1.0, C * T, K,
+                             is_norm=p >= 1.5 - 2.0 * r)
     if case == "III":
         if not (1.0 <= p < 1.5 - 2.0 * r):
             raise ValueError("Case III requires p < 3/2 - 2r")
-        return SharpNormSpec("III", r, p, n, t, _grad_weights(r, n))
+        _check_classified(case, r, p, n)
+        coeff = _grad_weights(r, n)
+        S = C * n ** (1.0 - 2.0 * r) + C * n ** ((1.0 - 4.0 * r) / 2.0) \
+            * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** 0.5 * t
+        return SharpNormSpec(case, n, coeff, 1.0, S,
+                             float(np.sum(coeff) ** (3.0 - 2.0 * p)))
     if case == "IVa":
         beta = beta_weights(r, p, n)  # validates the sub-case conditions
-        m = beta.size
-        i = np.arange(1, m + 1, dtype=float)
+        _check_classified(case, r, p, n)
+        i = np.arange(1, beta.size + 1, dtype=float)
         coeff = beta ** (-(3.0 - 2.0 * p) / (2.0 * (p - 1.0))) * i ** (-r / (p - 1.0))
-        return SharpNormSpec("IVa", r, p, n, t, coeff)
+        S = C ** (1.0 / (p - 1.0)) * (1.0 - 2.0 * r) ** (-p / q) \
+            * ln ** (-(3.0 - 2.0 * p) / q) * n ** 0.5 \
+            + C ** (1.0 / (p - 1.0)) * ln ** 0.5 * t
+        K = math.ceil(n / beta.size) * float(np.sum(beta)) ** (3.0 - 2.0 * p)
+        return SharpNormSpec(case, n, coeff, 1.0, S, K)
     if case == "IVb":
         _check_case_iv_family(r, p)
-        if (1.0 - 2.0 * r) * math.log(n) >= math.e:
+        if (1.0 - 2.0 * r) * ln >= math.e:
             raise ValueError("(1-2r) ln n >= e: use Case IVa instead")
-        return SharpNormSpec("IVb", r, p, n, t, np.ones(n))
+        _check_classified(case, r, p, n)
+        harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
+        return SharpNormSpec(case, n, np.ones(n), 2.0, C * n ** 0.5 + t,
+                             harmonic ** (2.0 - p))
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -142,29 +169,4 @@ def sharp_norm(spec: SharpNormSpec, x) -> float:
 
 def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
     X = _check_columns(spec.n, X)
-    # the case's norm is a q-th root: q = 2(p-1) in Case I, 2 (Euclidean) in IVb, else 1
-    q = {"I": 2.0 * (spec.p - 1.0), "IVb": 2.0}.get(spec.case, 1.0)
-    return _power_sum(spec.coefficients, X, q) ** (1.0 / q)
-
-
-def chain_factor(spec: SharpNormSpec) -> float:
-    """Deterministic K with sum_i i^(-2r) x_[i]^(2(p-1)) <= K |x|_aux^(2(p-1)).
-
-    Case I is an identity (K = 1).  Cases II and IVa restrict the sum to
-    i <= floor(n/e) by block comparison of the non-increasing summands
-    (factor ceil(n / floor(n/e))) and then apply Hoelder with exponents
-    1/(2(p-1)) and 1/(3-2p).  Case III is pure Hoelder over the full range,
-    and Case IVb is Hoelder against the Euclidean norm using 2r = 2 - p.
-    """
-    r, p, n = spec.r, spec.p, spec.n
-    if spec.case == "I":
-        return 1.0
-    if spec.case in ("II", "IVa"):
-        T = _case_ii_sum(r, p, n, spec.t) if spec.case == "II" \
-            else float(np.sum(beta_weights(r, p, n)))
-        return math.ceil(n / int(n / math.e)) * T ** (3.0 - 2.0 * p)
-    if spec.case == "III":
-        return float(np.sum(_grad_weights(r, n)) ** (3.0 - 2.0 * p))
-    # IVb
-    harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
-    return harmonic ** (2.0 - p)
+    return _power_sum(spec.coefficients, X, spec.exponent) ** (1.0 / spec.exponent)

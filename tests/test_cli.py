@@ -422,6 +422,11 @@ class TestOptionTable:
          "--eps-grid", "0.17,0.2,0.24,0.28", "--trials", "0"],
         ["probe", "--r", "0", "--p", "2", "--n", "50",
          "--eps-grid", "0.17,0.2,0.24,0.28", "--directions", "0"],
+        ["verify", "--kind", "orderorder", "--case", "I", "--r", "0.3", "--p", "2",
+         "--n", "50", "--trials", "-5"],
+        ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--samples", "-5"],
+        ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+         "--k", "2", "--eps", "0.2", "--directions", "-5"],
     ])
     def test_zero_count_exits_before_sampling(self, argv, monkeypatch, capsys):
         def no_draws(self):
@@ -458,6 +463,22 @@ class TestOptionTable:
         code, _, err = run(["--config", str(cfg), "bound"], capsys)
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("field, argv", [
+        ("grid_file", ["calibrate", "--target", "two_sided_ratio",
+                       "--bound-name", "power_log_sum", "--seed", "1",
+                       "--validation-seed", "2"]),
+        ("ledger_file", ["bound", "--r", "0", "--p", "3", "--n", "100", "--eps", "0.1"]),
+        ("weights_file", ["simulate", "--p", "2", "--k", "2", "--seed", "1"]),
+        ("output", ["bound", "--r", "0", "--p", "3", "--n", "100", "--eps", "0.1"]),
+    ])
+    def test_path_option_must_be_a_string(self, field, argv, tmp_path, capsys):
+        # open() would take an integer for a file descriptor
+        cfg = write_json(tmp_path, {field: 12345})
+        code, out, err = run(["--config", cfg] + argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{field} must be a path string, got 12345" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, {"foo": 1})

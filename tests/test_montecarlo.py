@@ -14,10 +14,9 @@ from lorentz_embed import (RandomStream, calibrate,
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo
-from lorentz_embed.constants import DEFAULT_LEDGER
-from lorentz_embed.regimes import orderorder_SR
-from lorentz_embed.sharp import (chain_factor, grad_functional_columns,
-                                 make_sharp_spec, sharp_norm_columns)
+from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
+from lorentz_embed.sharp import (grad_functional_columns, make_sharp_spec,
+                                 sharp_norm_columns)
 
 # chi distribution with 100 degrees of freedom: median via the regularized
 # incomplete gamma inverse (independent quadrature-backed oracle)
@@ -141,8 +140,8 @@ class TestVerifyOrderOrder:
         res = verify_orderorder("I", r, p, n, t, trials, DEFAULT_LEDGER,
                                 RandomStream(95))
         spec = make_sharp_spec("I", r, p, n, t)
-        S = orderorder_SR("I", r, p, n, t, DEFAULT_LEDGER).S
-        R = chain_factor(spec) * S ** (2.0 * (p - 1.0))
+        S = spec.S
+        R = spec.K * S ** (2.0 * (p - 1.0))
         holds = violations = 0
         for X in montecarlo._normal_chunks(n, trials, RandomStream(95)):
             within = sharp_norm_columns(spec, X) <= S
@@ -151,6 +150,33 @@ class TestVerifyOrderOrder:
         assert 0 < holds < trials
         assert (res.prob_S_holds, res.implication_violations, res.S, res.R) == \
             (holds / trials, violations, S, R)
+
+    # (case, r, p, n, t) -> C_sharp -> (S, R, chain_K) as literals, so that a
+    # change to any case's arithmetic shows up bit for bit
+    PINNED = {
+        ("I", 0.3, 2.0, 10 ** 4, 3.0): {
+            1.0: (20.66645002743469, 427.10215673645524, 1.0),
+            2.0: (41.33290005486938, 1708.408626945821, 1.0)},
+        ("II", 0.3, 1.2, 1000, 3.0): {
+            1.0: (30.774870327260725, 92.32461098178217, 23.444393045389795),
+            2.0: (61.54974065452145, 121.82305454949159, 23.444393045389795)},
+        ("III", 0.1, 1.2, 500, 2.0): {
+            1.0: (159.0629140720133, 171.16925645108984, 22.53191946552767),
+            2.0: (318.1258281440266, 225.8591879683273, 22.53191946552767)},
+        ("IVa", 0.3, 1.4, 10 ** 4, 2.0): {
+            1.0: (291.38568774968456, 484.02335588442975, 5.167633980939131),
+            2.0: (1648.3263659880636, 1936.093423537719, 5.167633980939131)},
+        ("IVb", 0.45, 1.1, 100, 3.0): {
+            1.0: (13.0, 7.3492283277477215, 4.400003985849025),
+            2.0: (23.0, 8.237560876633252, 4.400003985849025)},
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED, key=str), ids=lambda pt: pt[0])
+    @pytest.mark.parametrize("C_sharp", [1.0, 2.0])
+    def test_pinned_constants(self, point, C_sharp):
+        ledger = DEFAULT_LEDGER if C_sharp == 1.0 else ConstantLedger({"C_sharp": C_sharp})
+        res = verify_orderorder(*point, 1, ledger, RandomStream(96))
+        assert (res.S, res.R, res.chain_K) == self.PINNED[point][C_sharp]
 
     def test_determinism(self):
         args = ("III", 0.1, 1.2, 500, 2.0, 300, DEFAULT_LEDGER)

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorentz_embed
 from lorentz_embed import (ConstantLedger, WeightSequence, classify_case,
                            compute_bound_report, corollary_dimension_rp,
                            ellinfty_regime,
                            general_dimension, lomain_EF, lomain_EF_simplified,
-                           milman_dimension, orderorder_SR, power_params)
+                           make_sharp_spec, milman_dimension, power_params)
 from lorentz_embed.analytic import median_norm_shape
 from lorentz_embed.norms import lipschitz_constant
 
@@ -141,6 +146,12 @@ class TestCorollaryRp:
         with pytest.raises(ValueError, match="ellinfty"):
             corollary_dimension_rp(1.2, 2.0, 100, 0.1)
 
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, 1.0])
+    def test_eps_domain(self, eps):
+        # a negative eps would raise eps^(2/p) to a complex number
+        with pytest.raises(ValueError, match="eps"):
+            corollary_dimension_rp(0.2, 1.5, 100, eps)
+
 
 class TestGeneralDimension:
     def test_flat_p2_n2(self):
@@ -196,35 +207,41 @@ class TestEllInfty:
 class TestOrderOrderSR:
     def test_case_IVb_formulas(self):
         n, t, r, p = 10 ** 4, 3.0, 0.45, 1.1
-        b = orderorder_SR("IVb", r, p, n, t)
-        q = 2.0 * (p - 1.0)
-        S = math.sqrt(n) + t
-        assert b.S == pytest.approx(S, rel=1e-12)
-        assert b.R == pytest.approx(math.log(n) * S ** q, rel=1e-12)
+        spec = make_sharp_spec("IVb", r, p, n, t)
+        assert spec.S == pytest.approx(math.sqrt(n) + t, rel=1e-12)
 
     def test_case_III_formulas(self):
         n, t, r, p = 10 ** 4, 2.0, 0.1, 1.2
-        b = orderorder_SR("III", r, p, n, t)
+        spec = make_sharp_spec("III", r, p, n, t)
         ln = math.log(n)
         S = n ** (1.0 - 2.0 * r) + n ** ((1.0 - 4.0 * r) / 2.0) \
             * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** 0.5 * t
-        assert b.S == pytest.approx(S, rel=1e-12)
-        assert b.R == pytest.approx(
-            n ** ((1.0 - 2.0 * r) * (3.0 - 2.0 * p)) * S ** (2.0 * (p - 1.0)),
-            rel=1e-12)
+        assert spec.S == pytest.approx(S, rel=1e-12)
 
     def test_case_II_equals_sum(self):
         n, t, r, p = 1000, 2.0, 0.3, 1.2
-        b = orderorder_SR("II", r, p, n, t)
+        spec = make_sharp_spec("II", r, p, n, t)
         m = int(n / math.e)
         i = np.arange(1, m + 1, dtype=float)
         S = float(np.sum(i ** (-0.6) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
-        assert b.S == pytest.approx(S, rel=1e-12)
-        assert b.R == b.S
+        assert spec.S == pytest.approx(S, rel=1e-12)
 
     def test_mismatched_case(self):
-        with pytest.raises(ValueError, match="expected"):
-            orderorder_SR("I", 0.1, 1.2, 1000, 2.0)
+        # (0.1, 1.2) passes Case II's own checks but classifies as Case III
+        with pytest.raises(ValueError, match="expected 'III'"):
+            make_sharp_spec("II", 0.1, 1.2, 1000, 2.0)
+
+    def test_regimes_imports_no_sharp(self):
+        # regimes sits below sharp: it classifies, sharp builds each case's norm;
+        # a bare package stands in for lorentz_embed so that its __init__,
+        # which imports every module, does not run
+        src = str(Path(lorentz_embed.__file__).parent)
+        code = ("import sys, types; pkg = types.ModuleType('lorentz_embed'); "
+                f"pkg.__path__ = [{src!r}]; sys.modules['lorentz_embed'] = pkg; "
+                "import lorentz_embed.regimes; print('lorentz_embed.sharp' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestBoundReport:

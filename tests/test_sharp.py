@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed import (beta_weights, chain_factor, grad_functional,
-                           make_sharp_spec, sharp_norm, sharp_norm_columns)
+from lorentz_embed import (beta_weights, grad_functional, make_sharp_spec,
+                           sharp_norm, sharp_norm_columns)
 from lorentz_embed.sharp import grad_functional_columns
 from oracle import weighted_power_sum
 
@@ -145,7 +145,7 @@ class TestBetaWeights:
 class TestChainFactor:
     def test_case_I_identity(self):
         spec = make_sharp_spec("I", 0.3, 2.0, 100)
-        assert chain_factor(spec) == 1.0
+        assert spec.K == 1.0
 
     @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
     def test_deterministic_chain(self, case, rng):
@@ -153,7 +153,7 @@ class TestChainFactor:
         r, p = CASE_PARAMS[case]
         n = 10 ** 4
         spec = make_sharp_spec(case, r, p, n, t=3.0)
-        K = chain_factor(spec)
+        K = spec.K
         q = 2.0 * (p - 1.0)
         X = rng.standard_normal((n, 200))
         grad = grad_functional_columns(r, p, X)
