@@ -13,7 +13,8 @@ import traceback
 import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .embedding import measure_distortion, sample_gaussian_matrix, test_directions
+from .embedding import (_check_k, measure_distortion, sample_gaussian_matrix,
+                        test_directions)
 from .montecarlo import (_check_counts, calibrate, calibrate_embedding_dimension,
                          estimate_median_norm, scaling_probe, verify_embedding,
                          verify_orderorder)
@@ -221,6 +222,9 @@ def _cmd_simulate(config: dict, ledger: ConstantLedger) -> tuple:
     stream = _get_stream(config)
     k, mode = config["k"], config["mode"]
     _check_counts(directions=config["directions"])
+    _check_k(params.n, k)
+    if mode == "grid2d" and k != 2:
+        raise UsageError("grid2d mode requires k = 2")
     M = estimate_median_norm(params, config["samples"], stream.substream(0)).point
     G = sample_gaussian_matrix(params.n, k, stream.substream(1))
     dirs = test_directions(k, config["directions"], mode, stream.substream(2))

@@ -26,9 +26,13 @@ class GaussianMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> GaussianMatrix:
+def _check_k(n: int, k: int):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> GaussianMatrix:
+    _check_k(n, k)
     rng = stream.generator()
     entries = rng.standard_normal((n, k))
     return GaussianMatrix(n=n, k=k, entries=entries)
@@ -36,8 +40,7 @@ def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> GaussianMatr
 
 def identity_injection(n: int, k: int) -> GaussianMatrix:
     """Deterministic canonical-injection matrix, used as a test override."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k(n, k)
     entries = np.zeros((n, k))
     entries[:k, :k] = np.eye(k)
     return GaussianMatrix(n=n, k=k, entries=entries)

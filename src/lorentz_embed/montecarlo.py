@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .constants import ConstantLedger
-from .embedding import sample_gaussian_matrix, test_directions
+from .embedding import _check_k, sample_gaussian_matrix, test_directions
 from .norms import lorentz_norm_columns, psi_columns
 from .params import LorentzParams, power_params
 from .regimes import corollary_dimension_rp
@@ -215,6 +215,7 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
+    _check_k(params.n, k)
     if M is None:
         M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
     max_devs = _sup_deviations(params, k, trials, directions, stream, M,

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import LorentzParams
+
+# entries (n x width) of one column block of the norm kernel; the blocks are
+# fixed by n and m, so that results never depend on the worker count
+BLOCK_ENTRIES = 2 ** 18
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # the kernel's thread pool, made on the first multi-block call
+_pool_lock = threading.Lock()
 
 
 def _check_vector(x) -> np.ndarray:
@@ -54,26 +64,63 @@ def _power_in_place(A: np.ndarray, q: float):
         np.power(A, q, out=A)
 
 
+def _block_bounds(n: int, m: int) -> list:
+    """(start, stop) of the column blocks of an (n, m) matrix: as few as keep
+    each within BLOCK_ENTRIES entries, of near-equal widths, each at least 2
+    wide unless m is 1 (a lone column of a C-ordered matrix would be summed
+    pairwise, the others row by row, and the results would differ in the last
+    bit). They depend on n and m only, never on the worker count."""
+    blocks = min(-(-m // max(2, BLOCK_ENTRIES // n)), max(1, m // 2))
+    return [(j * m // blocks, (j + 1) * m // blocks) for j in range(blocks)]
+
+
+def _run_blocks(task, bounds: list):
+    """task(start, stop) for every block: inline for one block or one core,
+    else on a thread pool shared by all callers and made on first use."""
+    global _pool
+    if len(bounds) < 2 or _WORKERS == 1:
+        for start, stop in bounds:
+            task(start, stop)
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="lorentz-norms")
+    for _ in _pool.map(task, *zip(*bounds)):
+        pass
+
+
 def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
     """sum_i c_i X_[i]^q for each column of X, X_[i] the non-increasing
     rearrangement of its absolute values; rows past len(coeffs) are left out.
 
-    Equal coefficients over all rows make the order irrelevant: no sort then.
-    Otherwise |X| is written once, transposed, into a C-ordered (m, n) buffer
-    that is sorted ascending along its contiguous rows and powered in place,
-    so the largest len(coeffs) entries of a column are the tail of its row.
-    X itself is never modified.
+    The columns are taken in the blocks of _block_bounds, each into its own
+    small buffer, and every column's result is bitwise the one of an
+    unblocked call. Equal coefficients over all rows make the order
+    irrelevant: no sort then. Otherwise a block's |X| is written once,
+    transposed, into a C-ordered (width, n) buffer that is sorted ascending
+    along its contiguous rows and powered in place, so the largest
+    len(coeffs) entries of a column are the tail of its row. X itself is
+    never modified.
     """
-    n, c = X.shape[0], coeffs.size
-    if c == n and np.all(coeffs == coeffs[0]):
-        A = np.abs(X)
-        _power_in_place(A, q)
-        return coeffs[0] * np.sum(A, axis=0)
-    A = np.abs(X.T, order="C")
-    A.sort(axis=1)
-    top = A[:, n - c:]
-    _power_in_place(top, q)
-    return top @ coeffs[::-1]
+    (n, m), c = X.shape, coeffs.size
+    out = np.empty(m)
+    flat = c == n and bool(np.all(coeffs == coeffs[0]))
+
+    def task(start: int, stop: int):
+        if flat:
+            A = np.abs(X[:, start:stop])
+            _power_in_place(A, q)
+            np.sum(A, axis=0, out=out[start:stop])
+            return
+        A = np.abs(X[:, start:stop].T, order="C")
+        A.sort(axis=1)
+        top = A[:, n - c:]
+        _power_in_place(top, q)
+        out[start:stop] = top @ coeffs[::-1]
+
+    _run_blocks(task, _block_bounds(n, m))
+    return coeffs[0] * out if flat else out
 
 
 def lorentz_norm(params: LorentzParams, x) -> float:

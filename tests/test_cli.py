@@ -226,14 +226,16 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_cli_imports_no_scipy(self):
-        # scipy is imported lazily, only by calibrate's quadrature oracles
-        code = ("import lorentz_embed.cli, sys; print(any(m == 'scipy' or "
-                "m.startswith('scipy.') for m in sys.modules))")
+        # scipy is imported lazily, only by calibrate's quadrature oracles;
+        # the norm kernel's thread pool is made on its first multi-block call
+        code = ("import lorentz_embed.cli, sys, threading; print(any(m == 'scipy' or "
+                "m.startswith('scipy.') for m in sys.modules), "
+                "'concurrent.futures' in sys.modules, threading.active_count())")
         src = str(Path(lorentz_embed.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.split() == ["False", "False", "1"]
 
     def test_unknown_command_usage_error(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
@@ -427,6 +429,9 @@ class TestOptionTable:
         ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--samples", "-5"],
         ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
          "--k", "2", "--eps", "0.2", "--directions", "-5"],
+        ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "0"],
+        ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+         "--eps", "0.2", "--k", "51"],
     ])
     def test_zero_count_exits_before_sampling(self, argv, monkeypatch, capsys):
         def no_draws(self):

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lorentz_embed import (LorentzParams, WeightSequence, lipschitz_constant,
                            lorentz_norm_columns, power_params, psi,
                            psi_columns, psi_gradient_norm, rearrange_desc,
                            sort_asc)
+from lorentz_embed import norms
 from lorentz_embed.norms import _power_sum
 from oracle import weighted_power_sum
 
@@ -239,6 +242,36 @@ class TestPowerSumKernel:
         for j in range(X.shape[1]):
             assert got[j] == pytest.approx(weighted_power_sum(coeffs, X[:, j], q),
                                            rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 201])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["flat", "sorted", "truncated"])
+    def test_blocks_do_not_change_results(self, kind, order, m, rng, monkeypatch):
+        n = 40
+        X = np.asarray(rng.standard_normal((n, m)), order=order)
+        coeffs = {"flat": np.full(n, 0.7),
+                  "sorted": np.arange(1, n + 1.0) ** -0.3,
+                  "truncated": np.arange(1, n // 4 + 1.0) ** -0.6}[kind]
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 1)  # blocks 2 or 3 wide
+        blocked = _power_sum(coeffs, X, 1.5)
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", n * m)  # one block
+        assert np.array_equal(blocked, _power_sum(coeffs, X, 1.5))
+
+    def test_concurrent_callers_get_their_own_results(self, rng, monkeypatch):
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 2 * 50)
+        coeffs = np.arange(1, 51.0) ** -0.5
+        inputs = [rng.standard_normal((50, 301)) for _ in range(2)]
+        expected = [_power_sum(coeffs, X, 1.5) for X in inputs]
+        start = threading.Barrier(2)
+
+        def call(X):
+            start.wait()
+            return [_power_sum(coeffs, X, 1.5) for _ in range(20)]
+
+        with concurrent.futures.ThreadPoolExecutor(2) as callers:
+            results = list(callers.map(call, inputs))
+        for want, got in zip(expected, results):
+            assert all(np.array_equal(want, g) for g in got)
 
 
 class TestPsiGradient:
