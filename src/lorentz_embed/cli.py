@@ -51,13 +51,22 @@ def _is_kind(value, kind) -> bool:
     return _is_number_list([value]) and (kind is float or isinstance(value, int))
 
 
+def _parse_float(text: str, where: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{where} is not a number: {text.strip()!r}") from None
+
+
 def _load_weights_file(config: dict) -> WeightSequence:
     """One weight per line, validated against the weight-sequence invariants;
     the sha256 of the file's bytes is echoed in the report config."""
     with open(config["weights_file"], "rb") as fh:
         data = fh.read()
     config["weights_file_sha256"] = hashlib.sha256(data).hexdigest()
-    values = [float(line) for line in data.decode().splitlines() if line.strip()]
+    values = [_parse_float(line, f"weights_file line {number}")
+              for number, line in enumerate(data.decode().splitlines(), 1)
+              if line.strip()]
     return WeightSequence(np.array(values))
 
 
@@ -132,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """The defaults of the command's _READS entry, then the --config file,
-    then the flags; a null counts as absent, an option it does not read is
-    an error."""
+    then the flags; a null counts as absent, an option it does not read or
+    a float option that is not finite is an error."""
     given = _read_json(args.config) if args.config else {}
     if not isinstance(given, dict):
         raise UsageError("config must be a JSON object")
@@ -154,6 +163,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for name in given:
         if name not in _READS[key] and name not in ("command", "output", selector):
             raise UsageError(f"{name} is not read by {key}")
+        # false for NaN, infinities and JSON integers too large for a float
+        kind = _OPTIONS.get(name, {}).get("type")
+        if kind is float and not abs(given[name]) <= sys.float_info.max:
+            raise UsageError(f"{name} must be finite, got {given[name]}")
     return {**_READS[key], **given}
 
 
@@ -242,9 +255,11 @@ def _cmd_verify(config: dict, ledger: ConstantLedger) -> tuple:
     # embedding
     params = _get_params(config)
     _require(config, "k", "eps")
+    min_success = config["min_success"]
+    if min_success is not None and not 0.0 <= min_success <= 1.0:
+        raise UsageError(f"min_success must lie in [0, 1], got {min_success}")
     result = verify_embedding(params, config["k"], config["eps"], config["trials"],
                               config["directions"], stream)
-    min_success = config["min_success"]
     failed = min_success is not None and result.ci_low < min_success
     return result, EXIT_ASSERTION if failed else EXIT_OK
 
@@ -274,7 +289,8 @@ def _cmd_probe(config: dict, ledger: ConstantLedger) -> tuple:
     stream = _get_stream(config)
     _require(config, "r", "p", "n", "eps_grid")
     raw = config["eps_grid"]
-    eps_grid = [float(v) for v in raw.split(",")] if isinstance(raw, str) else raw
+    eps_grid = ([_parse_float(v, "eps_grid entry") for v in raw.split(",")]
+                if isinstance(raw, str) else raw)
     if not _is_number_list(eps_grid):
         raise UsageError("eps_grid must be a list of numbers or a "
                          "comma-separated string")

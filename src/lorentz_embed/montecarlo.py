@@ -11,7 +11,7 @@ import numpy as np
 
 from .constants import ConstantLedger
 from .embedding import _check_k, sample_gaussian_matrix, test_directions
-from .norms import lorentz_norm_columns, psi_columns
+from .norms import _WORKERS, _run_tasks, lorentz_norm_columns, psi_columns
 from .params import LorentzParams, power_params
 from .regimes import corollary_dimension_rp
 from .sharp import grad_functional_columns, make_sharp_spec, sharp_norm_columns
@@ -20,6 +20,8 @@ from .streams import RandomStream
 # chunk sizes are fixed so that results never depend on worker count
 TRIAL_CHUNK = 200
 DIRECTION_CHUNK = 2000
+# entries of the sample chunks drawn at once, each by its own worker
+DRAW_ENTRIES = 2 ** 20
 BOOTSTRAP_RESAMPLES = 1000  # replicates of the probe's slope CI
 Z95 = 1.959963984540054  # standard normal 0.975 quantile
 # the k-searches: least success rate of a passing k, and the calibration's
@@ -57,15 +59,24 @@ def _normal_chunks(n: int, samples: int, stream: RandomStream):
     """i.i.d. standard normal (n, m) chunks of TRIAL_CHUNK columns, samples
     columns in all; chunk c is drawn from stream.substream(c).
 
-    Every chunk is drawn into the same buffer, so a chunk is valid only until
-    the next one is drawn. One allocation per call, not one per chunk, keeps
-    the peak memory from depending on where the allocator puts freed chunks.
+    Up to _WORKERS chunks, of at most DRAW_ENTRIES entries together (or one
+    chunk), are drawn at once on the norm kernel's pool, each into its own
+    buffer; the values never depend on the worker count. The buffers are
+    reused, so a chunk is valid only until the next one is asked for. A few
+    allocations per call, not one per chunk, keep the peak memory from
+    depending on where the allocator puts freed chunks.
     """
-    buffer = np.empty(n * min(TRIAL_CHUNK, samples))
-    for chunk_index, start in enumerate(range(0, samples, TRIAL_CHUNK)):
-        X = buffer[:n * min(TRIAL_CHUNK, samples - start)].reshape(n, -1)
-        stream.substream(chunk_index).generator().standard_normal(out=X)
-        yield X
+    chunks, width = -(-samples // TRIAL_CHUNK), min(TRIAL_CHUNK, samples)
+    group = max(1, min(chunks, _WORKERS, DRAW_ENTRIES // max(1, n * width)))
+    buffers = [np.empty(n * width) for _ in range(group)]
+    for first in range(0, chunks, group):
+        draws = []
+        for c, buffer in zip(range(first, min(first + group, chunks)), buffers):
+            X = buffer[:n * min(TRIAL_CHUNK, samples - c * TRIAL_CHUNK)].reshape(n, -1)
+            draws.append((stream.substream(c).generator(), X))
+        _run_tasks(lambda generator, X: generator.standard_normal(out=X), draws)
+        for _, X in draws:
+            yield X
 
 
 def _estimate_median(columns_fn, params: LorentzParams, samples: int,

@@ -17,6 +17,27 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # the kernel's thread pool, made on the first multi-block call
 _pool_lock = threading.Lock()
+# entries of one slice of the q = 3/2 power: small enough that a slice and
+# its scratch stay in cache, large enough that the calls per slice cost
+# little (at 2^13 they made the two-worker kernel slower than np.power)
+POWER_SLICE = 2 ** 15
+
+
+class _WorkerBuffers(threading.local):
+    """Each thread's block buffer, grown to the largest block it has taken,
+    and its scratch for the q = 3/2 power."""
+
+    def __init__(self):
+        self.block = np.empty(0)
+        self.scratch = np.empty(POWER_SLICE)
+
+    def take(self, size: int) -> np.ndarray:
+        if self.block.size < size:
+            self.block = np.empty(size)
+        return self.block[:size]
+
+
+_buffers = _WorkerBuffers()
 
 
 def _check_vector(x) -> np.ndarray:
@@ -58,8 +79,22 @@ def _check_columns(n: int, X) -> np.ndarray:
 
 
 def _power_in_place(A: np.ndarray, q: float):
+    """A ** q in place on a 2-d view with one contiguous axis. q = 3/2 is
+    a * sqrt(a), two correctly rounded operations, taken in slices of at most
+    POWER_SLICE entries along that axis through the thread's scratch."""
     if q == 2.0:
         np.square(A, out=A)
+    elif q == 1.5:
+        if A.strides[0] < A.strides[1]:
+            A = A.T  # its rows are the contiguous axis
+        rows, cols = A.shape
+        step = max(1, POWER_SLICE // cols)
+        for i in range(0, rows, step):
+            for j in range(0, cols, POWER_SLICE):
+                S = A[i:i + step, j:j + POWER_SLICE]
+                root = _buffers.scratch[:S.size].reshape(S.shape)
+                np.sqrt(S, out=root)
+                np.multiply(S, root, out=S)
     elif q != 1.0:
         np.power(A, q, out=A)
 
@@ -74,19 +109,20 @@ def _block_bounds(n: int, m: int) -> list:
     return [(j * m // blocks, (j + 1) * m // blocks) for j in range(blocks)]
 
 
-def _run_blocks(task, bounds: list):
-    """task(start, stop) for every block: inline for one block or one core,
-    else on a thread pool shared by all callers and made on first use."""
+def _run_tasks(task, args: list):
+    """task(*a) for every a in args: inline for one task or one core, else on
+    a thread pool shared by all callers and made on first use. A task must
+    not call _run_tasks itself."""
     global _pool
-    if len(bounds) < 2 or _WORKERS == 1:
-        for start, stop in bounds:
-            task(start, stop)
+    if len(args) < 2 or _WORKERS == 1:
+        for a in args:
+            task(*a)
         return
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="lorentz-norms")
-    for _ in _pool.map(task, *zip(*bounds)):
+    for _ in _pool.map(task, *zip(*args)):
         pass
 
 
@@ -94,32 +130,39 @@ def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
     """sum_i c_i X_[i]^q for each column of X, X_[i] the non-increasing
     rearrangement of its absolute values; rows past len(coeffs) are left out.
 
-    The columns are taken in the blocks of _block_bounds, each into its own
-    small buffer, and every column's result is bitwise the one of an
-    unblocked call. Equal coefficients over all rows make the order
-    irrelevant: no sort then. Otherwise a block's |X| is written once,
-    transposed, into a C-ordered (width, n) buffer that is sorted ascending
-    along its contiguous rows and powered in place, so the largest
-    len(coeffs) entries of a column are the tail of its row. X itself is
-    never modified.
+    The columns are taken in the blocks of _block_bounds, each into a view
+    of the running thread's block buffer, and every column's result is
+    bitwise the one of an unblocked call. Equal coefficients over all rows
+    make the order irrelevant: no sort then, and the block's |X| keeps X's
+    own order, so that each column is summed as before. Otherwise a block's
+    |X| is written once, transposed, into a C-ordered (width, n) view that
+    is sorted ascending along its contiguous rows and powered in place, so
+    the largest len(coeffs) entries of a column are the tail of its row.
+    X itself is never modified.
     """
     (n, m), c = X.shape, coeffs.size
     out = np.empty(m)
     flat = c == n and bool(np.all(coeffs == coeffs[0]))
+    # the layout np.abs(X) would give: F when axis 0 has the smaller stride
+    order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
 
     def task(start: int, stop: int):
+        width = stop - start
+        block = _buffers.take(n * width)
         if flat:
-            A = np.abs(X[:, start:stop])
+            A = block.reshape((n, width), order=order)
+            np.abs(X[:, start:stop], out=A)
             _power_in_place(A, q)
             np.sum(A, axis=0, out=out[start:stop])
             return
-        A = np.abs(X[:, start:stop].T, order="C")
+        A = block.reshape(width, n)
+        np.abs(X[:, start:stop].T, out=A)
         A.sort(axis=1)
         top = A[:, n - c:]
         _power_in_place(top, q)
         out[start:stop] = top @ coeffs[::-1]
 
-    _run_blocks(task, _block_bounds(n, m))
+    _run_tasks(task, _block_bounds(n, m))
     return coeffs[0] * out if flat else out
 
 

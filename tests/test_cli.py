@@ -444,6 +444,57 @@ class TestOptionTable:
         assert out == ""
         assert name in err
 
+    ORDERORDER = ["verify", "--kind", "orderorder", "--case", "I", "--r", "0.3",
+                  "--p", "2", "--n", "50", "--trials", "10"]
+    EMBEDDING = ["verify", "--kind", "embedding", "--r", "0", "--p", "2", "--n", "50",
+                 "--k", "2", "--trials", "2", "--directions", "10"]
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (ORDERORDER + ["--t", "nan"], {}, "t must be finite, got nan"),
+        (ORDERORDER + ["--t", "inf"], {}, "t must be finite, got inf"),
+        (ORDERORDER, {"t": float("nan")}, "t must be finite, got nan"),
+        (ORDERORDER, {"t": 10 ** 400}, "t must be finite, got 1000"),
+        (EMBEDDING + ["--eps", "0.2", "--min-success", "nan"], {},
+         "min_success must be finite"),
+        (EMBEDDING, {"eps": float("inf")}, "eps must be finite, got inf"),
+        (EMBEDDING + ["--eps", "0.2", "--min-success", "1.5"], {},
+         "min_success must lie in [0, 1]"),
+        (EMBEDDING + ["--eps", "0.2", "--min-success", "-0.1"], {},
+         "min_success must lie in [0, 1]"),
+        (["probe", "--r", "0", "--p", "2", "--n", "50",
+          "--eps-grid", "0.17,x,0.24,0.28"], {},
+         "eps_grid entry is not a number: 'x'"),
+    ], ids=["t-nan", "t-inf", "config-t-nan", "config-t-huge", "min-success-nan",
+            "config-eps-inf", "min-success-above-1", "min-success-below-0",
+            "eps-grid-word"])
+    def test_bad_float_exits_before_sampling(self, argv, config, message, tmp_path,
+                                             monkeypatch, capsys):
+        def no_draws(self):
+            raise AssertionError("sampled before the bad value was rejected")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        if config:  # json writes NaN and Infinity, and json.load reads them
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg)] + argv
+        code, out, err = run(argv + ["--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_weights_file_names_the_bad_line(self, tmp_path, monkeypatch, capsys):
+        def no_draws(self):
+            raise AssertionError("sampled before the weights file was read")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        wf = tmp_path / "weights.txt"
+        wf.write_text("1.0\n\n0.5\nhalf\n0.25\n")
+        code, out, err = run(["simulate", "--weights-file", str(wf), "--p", "2",
+                              "--k", "2", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "weights_file line 4 is not a number: 'half'" in err
+
     def test_calibrate_checks_eps_before_sampling(self, monkeypatch, capsys):
         def no_draws(self):
             raise AssertionError("sampled before eps was rejected")

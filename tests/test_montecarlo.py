@@ -109,6 +109,25 @@ class TestMedianEstimators:
             expected = stream.substream(c).generator().standard_normal(X.shape)
             assert np.array_equal(X, expected)
 
+    # 1000 samples: five chunks, an odd count; 450: a short last chunk;
+    # 150: fewer samples than TRIAL_CHUNK
+    @pytest.mark.parametrize("samples", [1000, 450, 150])
+    @pytest.mark.parametrize("draw_entries", [1, 2 ** 20])
+    def test_parallel_chunks_match_serial_draws(self, samples, draw_entries,
+                                                monkeypatch):
+        # 2^20 entries let three 7 x 200 chunks be drawn at once, 1 entry
+        # keeps the draws serial
+        monkeypatch.setattr(montecarlo, "DRAW_ENTRIES", draw_entries)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        stream = RandomStream(78)
+        chunks = [X.copy() for X in montecarlo._normal_chunks(7, samples, stream)]
+        widths = [min(montecarlo.TRIAL_CHUNK, samples - start)
+                  for start in range(0, samples, montecarlo.TRIAL_CHUNK)]
+        assert [X.shape for X in chunks] == [(7, w) for w in widths]
+        for c, X in enumerate(chunks):
+            expected = stream.substream(c).generator().standard_normal(X.shape)
+            assert np.array_equal(X, expected)
+
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             estimate_median_norm(power_params(0.0, 2.0, 5), 50, RandomStream(0))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import sys
 import threading
 
 import numpy as np
@@ -227,7 +228,7 @@ def kernel_cases(draw):
         coeffs = np.full(n, draw(st.floats(0.1, 3.0)))
     else:
         coeffs = i ** (-draw(st.floats(0.01, 2.0)))
-    q = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.3, 4.0)))
+    q = draw(st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(0.3, 4.0)))
     return coeffs, X, q
 
 
@@ -272,6 +273,80 @@ class TestPowerSumKernel:
             results = list(callers.map(call, inputs))
         for want, got in zip(expected, results):
             assert all(np.array_equal(want, g) for g in got)
+
+
+def three_halves_reference(coeffs, X):
+    """The kernel's arithmetic, unblocked, with |x|^(3/2) as |x| * sqrt(|x|)."""
+    n, c = X.shape[0], coeffs.size
+    if c == n and np.all(coeffs == coeffs[0]):
+        A = np.abs(X)
+        return coeffs[0] * np.sum(A * np.sqrt(A), axis=0)
+    A = np.abs(X.T, order="C")
+    A.sort(axis=1)
+    top = A[:, n - c:]
+    return (top * np.sqrt(top)) @ coeffs[::-1]
+
+
+class TestThreeHalvesPower:
+    # (40, 201): many blocks; (3000, 201): blocks of several slices of
+    # several rows; (40000, 3): rows longer than POWER_SLICE
+    @pytest.mark.parametrize("n, m", [(40, 201), (3000, 201), (40000, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["flat", "sorted", "truncated"])
+    def test_is_a_times_root_summed(self, kind, order, n, m, rng):
+        X = np.asarray(rng.standard_normal((n, m)), order=order)
+        coeffs = {"flat": np.full(n, 0.7),
+                  "sorted": np.arange(1, n + 1.0) ** -0.3,
+                  "truncated": np.arange(1, n // 4 + 1.0) ** -0.6}[kind]
+        assert np.array_equal(_power_sum(coeffs, X, 1.5),
+                              three_halves_reference(coeffs, X))
+
+    def test_within_rounding_of_np_power(self, rng):
+        # both are within one rounding of the exact power, so apart by < 2 eps
+        a = np.abs(rng.standard_normal(10 ** 5)) * np.exp(rng.uniform(-30, 30, 10 ** 5))
+        power = np.power(a, 1.5)
+        assert np.all(np.abs(a * np.sqrt(a) - power) <= 4e-16 * power)
+
+    def test_callers_beyond_cores_share_no_buffer(self, rng, monkeypatch):
+        # four callers share the kernel's pool, switching threads often: a
+        # block buffer or scratch shared by two running tasks would mix
+        # their columns
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 2 * 300)
+        cases = [(coeffs, rng.standard_normal((300, 41)))
+                 for coeffs in (np.full(300, 0.7), np.arange(1, 301.0) ** -0.3)
+                 for _ in range(2)]
+        expected = [three_halves_reference(coeffs, X) for coeffs, X in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(lambda c=c: [_power_sum(*c, 1.5)
+                                                       for _ in range(30)])
+                           for c in cases]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert all(np.array_equal(want, g) for g in got)
+
+    def test_buffers_hold_no_stale_data(self, rng, monkeypatch):
+        # one thread takes every block into its one buffer, which grows, is
+        # reused by a smaller call and then by a larger one again
+        monkeypatch.setattr(norms, "_WORKERS", 1)
+        calls = []
+        for n in (3000, 40, 3000):
+            X = rng.standard_normal((n, 150))
+            for coeffs in (np.full(n, 0.7), np.arange(1, n + 1.0) ** -0.3,
+                           np.arange(1, n // 4 + 1.0) ** -0.6):
+                for q in (1.5, 2.3):
+                    calls.append((coeffs, X, q))
+        expected = []
+        for coeffs, X, q in calls:
+            monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
+            expected.append(_power_sum(coeffs, X, q))
+        monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
+        for (coeffs, X, q), want in zip(calls, expected):
+            assert np.array_equal(_power_sum(coeffs, X, q), want)
 
 
 class TestPsiGradient:
