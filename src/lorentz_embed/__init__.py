@@ -5,8 +5,8 @@ verification of the almost-isometry and concentration events."""
 from .constants import DEFAULT_LEDGER, KNOWN_CONSTANTS, ConstantLedger
 from .params import LorentzParams, WeightSequence, power_params
 from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
-                    lorentz_norm_columns, psi, psi_columns, psi_gradient_norm,
-                    rearrange_desc, sort_asc)
+                    lorentz_norm_columns, lorentz_norm_images, psi, psi_columns,
+                    psi_gradient_norm, rearrange_desc, sort_asc)
 from .sharp import (beta_weights, grad_functional, make_sharp_spec,
                     sharp_norm, sharp_norm_columns, SharpNormSpec)
 from .analytic import (incomplete_gamma_bounds, median_norm_shape,

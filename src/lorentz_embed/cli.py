@@ -18,6 +18,7 @@ from .embedding import (_check_k, measure_distortion, sample_gaussian_matrix,
 from .montecarlo import (_check_counts, calibrate, calibrate_embedding_dimension,
                          estimate_median_norm, scaling_probe, verify_embedding,
                          verify_orderorder)
+from .norms import _WORKERS, blas_threads
 from .params import LorentzParams, WeightSequence, power_params
 from .regimes import classify_case, compute_bound_report
 from .streams import RandomStream
@@ -202,7 +203,9 @@ def _get_stream(config: dict) -> RandomStream:
 
 
 def _emit(config: dict, ledger: ConstantLedger, payload: dict):
-    """Write the report JSON; timestamps live in a sidecar metadata file."""
+    """Write the report JSON; timestamps, the kernel's worker count, the
+    BLAS thread count at the end of the run (null where numpy's OpenBLAS is
+    not found) and numpy's version live in a sidecar metadata file."""
     resolved = {k: v for k, v in sorted(config.items())
                 if k not in ("output",) and v is not None}
     report = {"config": resolved, "ledger": ledger.to_dict(), "result": payload}
@@ -211,7 +214,9 @@ def _emit(config: dict, ledger: ConstantLedger, payload: dict):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        meta = {"written_at_unix": time.time(), "report_path": out}
+        meta = {"written_at_unix": time.time(), "report_path": out,
+                "kernel_workers": _WORKERS, "blas_threads": blas_threads(),
+                "numpy_version": np.__version__}
         with open(out + ".meta.json", "w") as fh:
             fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     else:

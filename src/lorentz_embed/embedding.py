@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import lorentz_norm_columns
+from .norms import lorentz_norm_images
 from .params import LorentzParams
 from .streams import RandomStream
 
@@ -110,18 +110,14 @@ def measure_distortion(
     """Per-direction relative deviation | |G theta| / M - 1 | over unit columns."""
     if M <= 0.0:
         raise ValueError("M must be positive")
-    directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[0] != G.k:
-        raise ValueError(f"expected a ({G.k}, m) direction matrix, got {directions.shape}")
-    images = G.entries @ directions
-    norms = lorentz_norm_columns(params, images)
+    norms = lorentz_norm_images(params, G.entries, directions)
     devs = np.abs(norms / M - 1.0)
     quantiles = {lv: float(np.quantile(devs, lv)) for lv in QUANTILE_LEVELS}
     return DistortionReport(
         M_used=M,
         max_rel_dev=float(np.max(devs)),
         quantiles=quantiles,
-        direction_count=directions.shape[1],
+        direction_count=norms.size,
         test_mode=test_mode,
     )
 

@@ -11,15 +11,15 @@ import numpy as np
 
 from .constants import ConstantLedger
 from .embedding import _check_k, sample_gaussian_matrix, test_directions
-from .norms import _WORKERS, _run_tasks, lorentz_norm_columns, psi_columns
+from .norms import (_WORKERS, _run_tasks, lorentz_norm_columns,
+                    lorentz_norm_images, psi_columns)
 from .params import LorentzParams, power_params
 from .regimes import corollary_dimension_rp
-from .sharp import grad_functional_columns, make_sharp_spec, sharp_norm_columns
+from .sharp import grad_functional_columns, make_sharp_spec, sharp_and_grad_columns
 from .streams import RandomStream
 
 # chunk sizes are fixed so that results never depend on worker count
 TRIAL_CHUNK = 200
-DIRECTION_CHUNK = 2000
 # entries of the sample chunks drawn at once, each by its own worker
 DRAW_ENTRIES = 2 ** 20
 BOOTSTRAP_RESAMPLES = 1000  # replicates of the probe's slope CI
@@ -125,24 +125,16 @@ def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
     """Per trial, the max of | |G theta|_{w,p} / M - 1 | over sampled directions.
 
     The directions come from stream.substream(1), trial j's matrix from
-    stream.substream(2 + j); images are formed DIRECTION_CHUNK directions at a
-    time, in one C-ordered (directions, n) buffer that every trial and block
-    reuses and whose transposed views the norm kernel reads contiguously.
+    stream.substream(2 + j); the norm kernel forms the images block by block.
     matrix_factory, if given, replaces the Gaussian sampler.
     """
     factory = matrix_factory or sample_gaussian_matrix
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
     sups = np.empty(trials)
-    buffer = np.empty((min(directions, DIRECTION_CHUNK), params.n))
     for trial in range(trials):
         G = factory(params.n, k, stream.substream(2 + trial))
-        sup = 0.0
-        for start in range(0, directions, DIRECTION_CHUNK):
-            block = dirs[:, start:start + DIRECTION_CHUNK]
-            images = np.matmul(block.T, G.entries.T, out=buffer[:block.shape[1]])
-            norms = lorentz_norm_columns(params, images.T)
-            sup = max(sup, float(np.max(np.abs(norms / M - 1.0))))
-        sups[trial] = sup
+        norms = lorentz_norm_images(params, G.entries, dirs)
+        sups[trial] = float(np.max(np.abs(norms / M - 1.0)))
     return sups
 
 
@@ -180,9 +172,11 @@ def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
     holds = 0
     violations = 0
     for X in _normal_chunks(n, trials, stream):
-        grad = grad_functional_columns(r, p, X)
-        # Case I's norm to the power q is the gradient sum itself: one sort
-        sharp = grad ** (1.0 / q) if case == "I" else sharp_norm_columns(spec, X)
+        if case == "I":  # its norm to the power q is the gradient sum itself
+            grad = grad_functional_columns(r, p, X)
+            sharp = grad ** (1.0 / q)
+        else:
+            sharp, grad = sharp_and_grad_columns(spec, r, p, X)
         within = sharp <= S
         holds += int(np.sum(within))
         violations += int(np.sum(within & (grad > R)))

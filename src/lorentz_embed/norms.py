@@ -109,10 +109,41 @@ def _block_bounds(n: int, m: int) -> list:
     return [(j * m // blocks, (j + 1) * m // blocks) for j in range(blocks)]
 
 
+def _openblas():
+    """(set, get) of numpy's bundled OpenBLAS thread count as ctypes
+    functions, or None where no such library or symbol is found."""
+    import ctypes
+    import glob
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                set_, get = getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+            except AttributeError:
+                continue
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            get.argtypes, get.restype = [], ctypes.c_int
+            return set_, get
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None if none is found."""
+    functions = _openblas()
+    return None if functions is None else functions[1]()
+
+
 def _run_tasks(task, args: list):
     """task(*a) for every a in args: inline for one task or one core, else on
     a thread pool shared by all callers and made on first use. A task must
-    not call _run_tasks itself."""
+    not call _run_tasks itself.
+
+    Making the pool sets numpy's OpenBLAS to one thread: the pool's workers
+    then take the cores, and no idle BLAS thread spins beside them after a
+    product. OpenBLAS divides a matrix product's rows and columns among its
+    threads, not its sums, so this leaves the kernel's results as they were.
+    """
     global _pool
     if len(args) < 2 or _WORKERS == 1:
         for a in args:
@@ -121,49 +152,80 @@ def _run_tasks(task, args: list):
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
+            functions = _openblas()
+            if functions is not None:
+                functions[0](1)
             _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="lorentz-norms")
     for _ in _pool.map(task, *zip(*args)):
         pass
 
 
-def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
-    """sum_i c_i X_[i]^q for each column of X, X_[i] the non-increasing
-    rearrangement of its absolute values; rows past len(coeffs) are left out.
+def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list:
+    """[sum_i c_i Y_[i]^q for each column of Y, for each (c, q) in pairs],
+    Y_[i] the non-increasing rearrangement of a column's absolute values;
+    rows past len(c) are left out. Y is X, or with D given it is the
+    F-ordered product (D.T @ X.T).T of the (n, k) matrix X and the (k, m)
+    matrix D, which may differ from X @ D in the last bit.
 
     The columns are taken in the blocks of _block_bounds, each into a view
     of the running thread's block buffer, and every column's result is
-    bitwise the one of an unblocked call. Equal coefficients over all rows
-    make the order irrelevant: no sort then, and the block's |X| keeps X's
-    own order, so that each column is summed as before. Otherwise a block's
-    |X| is written once, transposed, into a C-ordered (width, n) view that
-    is sorted ascending along its contiguous rows and powered in place, so
-    the largest len(coeffs) entries of a column are the tail of its row.
-    X itself is never modified.
+    bitwise the one of an unblocked call. An image block is the C-ordered
+    (width, n) product D[:, block].T @ X.T, formed in that buffer, so no
+    (n, m) image is ever held. A pair whose coefficients are equal over all
+    rows needs no order: its block's |Y| keeps Y's own layout, so that each
+    column is summed as before. For the other pairs a block's |Y| is written
+    once, transposed, into a C-ordered (width, n) view that is sorted
+    ascending along its contiguous rows, so the largest len(c) entries of a
+    column are the tail of its row; every such pair is summed from that one
+    sort, the last one powered in place. X itself is never modified.
     """
-    (n, m), c = X.shape, coeffs.size
-    out = np.empty(m)
-    flat = c == n and bool(np.all(coeffs == coeffs[0]))
-    # the layout np.abs(X) would give: F when axis 0 has the smaller stride
-    order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
+    if D is None:
+        n, m = X.shape
+        # the layout np.abs(X) would give: F when axis 0 has the smaller stride
+        order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
+
+        def fill(start: int, stop: int, A: np.ndarray):
+            np.abs(X[:, start:stop], out=A)
+    else:
+        (n, _), m, order = X.shape, D.shape[1], "F"
+
+        def fill(start: int, stop: int, A: np.ndarray):
+            np.matmul(D[:, start:stop].T, X.T, out=A.T)  # A.T is C-ordered
+            np.abs(A, out=A)
+
+    flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
+    sorted_ = [j for j, f in enumerate(flat) if not f]
+    outs = [np.empty(m) for _ in pairs]
 
     def task(start: int, stop: int):
         width = stop - start
         block = _buffers.take(n * width)
-        if flat:
-            A = block.reshape((n, width), order=order)
-            np.abs(X[:, start:stop], out=A)
-            _power_in_place(A, q)
-            np.sum(A, axis=0, out=out[start:stop])
+        for (c, q), f, out in zip(pairs, flat, outs):
+            if f:
+                A = block.reshape((n, width), order=order)
+                fill(start, stop, A)
+                _power_in_place(A, q)
+                np.sum(A, axis=0, out=out[start:stop])
+        if not sorted_:
             return
         A = block.reshape(width, n)
-        np.abs(X[:, start:stop].T, out=A)
+        fill(start, stop, A.T)
         A.sort(axis=1)
-        top = A[:, n - c:]
-        _power_in_place(top, q)
-        out[start:stop] = top @ coeffs[::-1]
+        for j in sorted_:
+            (c, q), out = pairs[j], outs[j]
+            top = A[:, n - c.size:]
+            if j != sorted_[-1] and q != 1.0:
+                top = top.copy()  # the sorted rows serve the pairs after it
+            _power_in_place(top, q)
+            out[start:stop] = top @ c[::-1]
 
     _run_tasks(task, _block_bounds(n, m))
-    return coeffs[0] * out if flat else out
+    return [c[0] * out if f else out for (c, _), f, out in zip(pairs, flat, outs)]
+
+
+def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
+    """_power_sums for the one pair (coeffs, q) and the columns of X."""
+    return _power_sums([(coeffs, q)], X)[0]
 
 
 def lorentz_norm(params: LorentzParams, x) -> float:
@@ -177,6 +239,20 @@ def lorentz_norm_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
     """Lorentz norm of each column of an (n, m) matrix."""
     X = _check_columns(params.n, X)
     return _power_sum(params.weight_values(), X, params.p) ** (1.0 / params.p)
+
+
+def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
+                        directions: np.ndarray) -> np.ndarray:
+    """Lorentz norm of each column of G @ directions, for an (n, k) matrix G
+    and a (k, m) matrix of directions: bitwise lorentz_norm_columns(params,
+    (directions.T @ G.T).T), with the images formed block by block."""
+    G = _check_columns(params.n, G)
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[0] != G.shape[1]:
+        raise ValueError(f"expected a ({G.shape[1]}, m) direction matrix, "
+                         f"got shape {directions.shape}")
+    power = _power_sums([(params.weight_values(), params.p)], G, directions)[0]
+    return power ** (1.0 / params.p)
 
 
 def psi(params: LorentzParams, x) -> float:

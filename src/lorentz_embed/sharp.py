@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .norms import _check_columns, _check_vector, _power_sum
+from .norms import _check_columns, _check_vector, _power_sums
 from .regimes import _on_iv_boundary, classify_case
 
 
@@ -29,7 +29,12 @@ def grad_functional(r: float, p: float, x) -> float:
 
 def grad_functional_columns(r: float, p: float, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    return _power_sum(_grad_weights(r, X.shape[0]), X, 2.0 * (p - 1.0))
+    return _power_sums([_grad_pair(r, p, X.shape[0])], X)[0]
+
+
+def _grad_pair(r: float, p: float, n: int) -> tuple:
+    """(coefficients, exponent) of the gradient functional."""
+    return _grad_weights(r, n), 2.0 * (p - 1.0)
 
 
 def _grad_weights(r: float, n: int) -> np.ndarray:
@@ -169,4 +174,14 @@ def sharp_norm(spec: SharpNormSpec, x) -> float:
 
 def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
     X = _check_columns(spec.n, X)
-    return _power_sum(spec.coefficients, X, spec.exponent) ** (1.0 / spec.exponent)
+    return _power_sums([(spec.coefficients, spec.exponent)], X)[0] ** (1.0 / spec.exponent)
+
+
+def sharp_and_grad_columns(spec: SharpNormSpec, r: float, p: float,
+                           X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sharp_norm_columns(spec, X) and grad_functional_columns(r, p, X),
+    bitwise, with one sort of each column for the two sums."""
+    X = _check_columns(spec.n, X)
+    norm_power, grad = _power_sums(
+        [(spec.coefficients, spec.exponent), _grad_pair(r, p, spec.n)], X)
+    return norm_power ** (1.0 / spec.exponent), grad

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lorentz_embed
-from lorentz_embed import cli
+from lorentz_embed import cli, norms
 from lorentz_embed.analytic import TwoSidedBound
 from lorentz_embed.cli import UsageError, _build_parser, _merge_config, main
 from lorentz_embed.embedding import DistortionReport
@@ -104,6 +105,26 @@ class TestReproducibility:
         assert "written_at" not in open(path).read()
         meta = load_report(path + ".meta.json")
         assert "written_at_unix" in meta
+
+
+    def test_sidecar_records_threads_and_numpy(self, tmp_path, capsys):
+        path = str(tmp_path / "v.json")
+        code, _, _ = run(["verify", "--kind", "embedding", "--r", "0", "--p", "1.5",
+                          "--n", "500", "--k", "3", "--eps", "0.3", "--seed", "1",
+                          "--trials", "2", "--directions", "600",
+                          "--output", path], capsys)
+        assert code == 0
+        meta = load_report(path + ".meta.json")
+        assert meta["kernel_workers"] == norms._WORKERS >= 1
+        assert meta["numpy_version"] == np.__version__
+        threads = meta["blas_threads"]
+        if norms._openblas() is None:
+            assert threads is None
+        elif norms._WORKERS > 1:  # the run made the kernel's pool
+            assert threads == 1
+        else:
+            assert isinstance(threads, int) and threads >= 1
+        assert "blas_threads" not in open(path).read()
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lorentz_embed import (RandomStream, calibrate,
                            wilson_interval)
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
-from lorentz_embed import montecarlo
+from lorentz_embed import montecarlo, sharp
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
 from lorentz_embed.sharp import (grad_functional_columns, make_sharp_spec,
                                  sharp_norm_columns)
@@ -170,6 +171,39 @@ class TestVerifyOrderOrder:
         assert (res.prob_S_holds, res.implication_violations, res.S, res.R) == \
             (holds / trials, violations, S, R)
 
+    @pytest.mark.parametrize("point", [("II", 0.3, 1.2, 1000, 3.0),
+                                       ("III", 0.1, 1.2, 500, 2.0),
+                                       ("IVa", 0.3, 1.4, 2000, 2.0),
+                                       ("IVb", 0.45, 1.1, 100, 3.0),
+                                       ("I", 0.3, 2.5, 60, 0.5)],
+                             ids=lambda pt: pt[0])
+    def test_one_sort_per_sample_in_every_case(self, point, monkeypatch):
+        # the two sums share one sort of each sample and stay bitwise those
+        # of the two column functions called apart
+        case, r, p, n, t = point
+        trials = 450
+        spec = make_sharp_spec(case, r, p, n, t)
+        R = spec.K * spec.S ** (2.0 * (p - 1.0))
+        holds = violations = 0
+        for X in montecarlo._normal_chunks(n, trials, RandomStream(98)):
+            within = sharp_norm_columns(spec, X) <= spec.S
+            holds += int(np.sum(within))
+            violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
+        sorted_columns = []
+
+        def counting(pairs, X, D=None):
+            if not all(c.size == n and np.all(c == c[0]) for c, _ in pairs):
+                sorted_columns.append(X.shape[1])
+            return power_sums(pairs, X, D)
+
+        power_sums = sharp._power_sums
+        monkeypatch.setattr(sharp, "_power_sums", counting)
+        res = verify_orderorder(case, r, p, n, t, trials, DEFAULT_LEDGER,
+                                RandomStream(98))
+        assert sum(sorted_columns) == trials
+        assert (res.prob_S_holds, res.implication_violations) == \
+            (holds / trials, violations)
+
     # (case, r, p, n, t) -> C_sharp -> (S, R, chain_K) as literals, so that a
     # change to any case's arithmetic shows up bit for bit
     PINNED = {
@@ -229,9 +263,9 @@ class TestVerifyEmbedding:
         assert a.to_dict() == b.to_dict()
 
     def test_partial_last_direction_block(self):
-        # more directions than one block, the last block short
+        # 3500 directions: each trial's max runs over all of them
         params = power_params(0.3, 1.5, 40)
-        k, trials, directions, M = 3, 10, montecarlo.DIRECTION_CHUNK + 1500, 2.0
+        k, trials, directions, M = 3, 10, 3500, 2.0
         stream = RandomStream(97)
         res = verify_embedding(params, k, 0.5, trials, directions, stream, M=M)
         dirs = make_directions(k, directions, "random_sphere", stream.substream(1))
@@ -239,6 +273,18 @@ class TestVerifyEmbedding:
             G = sample_gaussian_matrix(params.n, k, stream.substream(2 + trial))
             norms = lorentz_norm_columns(params, G.entries @ dirs)
             assert dev == pytest.approx(np.max(np.abs(norms / M - 1.0)), rel=1e-12)
+
+    def test_no_whole_image_is_held(self):
+        # numpy reports its buffers to tracemalloc; the (directions, n)
+        # image of one trial alone would take 2000 * 2000 * 8 B = 32 MB
+        params = power_params(0.3, 1.5, 2000)
+        tracemalloc.start()
+        try:
+            verify_embedding(params, 8, 0.2, 2, 2000, RandomStream(99), M=40.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestCalibrate:

@@ -11,11 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from lorentz_embed import (LorentzParams, WeightSequence, lipschitz_constant,
                            lipschitz_maximizer, lorentz_norm,
-                           lorentz_norm_columns, power_params, psi,
-                           psi_columns, psi_gradient_norm, rearrange_desc,
-                           sort_asc)
+                           lorentz_norm_columns, lorentz_norm_images,
+                           power_params, psi, psi_columns, psi_gradient_norm,
+                           rearrange_desc, sort_asc)
 from lorentz_embed import norms
-from lorentz_embed.norms import _power_sum
+from lorentz_embed.norms import _power_sum, _power_sums
 from oracle import weighted_power_sum
 
 finite_vectors = hnp.arrays(
@@ -347,6 +347,79 @@ class TestThreeHalvesPower:
         monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
         for (coeffs, X, q), want in zip(calls, expected):
             assert np.array_equal(_power_sum(coeffs, X, q), want)
+
+
+class TestImagesKernel:
+    # the images are formed as the C-ordered product D.T @ G.T, block by
+    # block, and its transpose is the matrix the unfused kernel gets: G @ D
+    # may differ from it in the last bit (at odd m, or k = 80 here), and
+    # constant weights sum a C-ordered matrix's columns in another order
+    # (n, k, m): m = 1; k = 1; m not a multiple of the block width (blocks
+    # of 125 and 126 columns at n = 2000; 2 and 3 at n = 140000 >
+    # BLOCK_ENTRIES / 2)
+    @pytest.mark.parametrize("n, k, m", [(40, 3, 1), (300, 1, 7), (2000, 8, 2001),
+                                         (140000, 2, 5), (300, 80, 1001)])
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_bitwise_the_unfused_kernel(self, r, n, k, m, rng):
+        params = power_params(r, 1.5, n)
+        G = rng.standard_normal((n, k))
+        D = rng.standard_normal((k, m))
+        fused = lorentz_norm_images(params, G, D)
+        assert np.array_equal(fused, lorentz_norm_columns(params, (D.T @ G.T).T))
+        assert np.allclose(fused, lorentz_norm_columns(params, G @ D),
+                           rtol=1e-12, atol=0.0)
+
+    def test_callers_beyond_cores_share_no_buffer(self, rng, monkeypatch):
+        # four callers form images in the pool's block buffers at once
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 2 * 300)
+        cases = [(power_params(r, 1.5, 300), rng.standard_normal((300, 4)),
+                  rng.standard_normal((4, 41))) for r in (0.0, 0.3) for _ in range(2)]
+        expected = [lorentz_norm_columns(params, (D.T @ G.T).T)
+                    for params, G, D in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(lambda c=c: [lorentz_norm_images(*c)
+                                                       for _ in range(30)])
+                           for c in cases]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert all(np.array_equal(want, g) for g in got)
+
+    def test_rejects_mismatched_shapes(self, rng):
+        params = power_params(0.3, 1.5, 10)
+        with pytest.raises(ValueError, match="expected an \\(10, m\\) matrix"):
+            lorentz_norm_images(params, rng.standard_normal((9, 2)),
+                                rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match="direction matrix"):
+            lorentz_norm_images(params, rng.standard_normal((10, 2)),
+                                rng.standard_normal((3, 4)))
+
+
+class TestPowerSumPairs:
+    @pytest.mark.parametrize("pairs", [
+        # sorted pairs, the first one at q = 1 summed before the power
+        [("truncated", 1.0), ("sorted", 0.4)],
+        # a powered pair before another: it is powered on a copy
+        [("sorted", 1.5), ("truncated", 2.0), ("sorted", 1.0)],
+        # constant coefficients beside sorted ones: no sort for them
+        [("flat", 2.0), ("sorted", 0.2), ("flat", 1.5)],
+        [("flat", 1.5), ("flat", 3.0)],
+    ])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equal_separate_calls(self, pairs, order, rng):
+        n, m = 300, 1001
+        X = np.asarray(rng.standard_normal((n, m)), order=order)
+        coeffs = {"flat": np.full(n, 0.7),
+                  "sorted": np.arange(1, n + 1.0) ** -0.3,
+                  "truncated": np.arange(1, n // 4 + 1.0) ** -0.6}
+        pairs = [(coeffs[kind], q) for kind, q in pairs]
+        got = _power_sums(pairs, X)
+        for (c, q), sums in zip(pairs, got):
+            assert np.array_equal(sums, _power_sum(c, X, q))
 
 
 class TestPsiGradient:
