@@ -1,6 +1,6 @@
 """Closed-form two-sided estimates: incomplete-gamma integrals, power/log sums,
-power integrals, the xi1 envelope, order-statistic envelopes and psi
-medians."""
+power integrals, the xi1 envelope, the uniform order-statistic envelope and
+psi medians."""
 
 from __future__ import annotations
 
@@ -124,54 +124,14 @@ def xi1_inv_upper(s: float) -> float:
     return min(math.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
 
 
-def uniform_orderstat_upper_all(
-    n: int,
-    t: float,
-    variant: str,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> np.ndarray:
+def uniform_orderstat_upper_all(n: int, t: float) -> np.ndarray:
     """High-probability upper envelope for the i-th uniform order statistic,
-    for each i = 1..n.
-
-    variant 'bottom' holds simultaneously over i with probability at least
-    1 - (pi^2/3) e^(-t^2/2); variant 'renyi' with probability 1 - C e^(-t^2/2)
-    (rate constant from the ledger).
-    """
-    i = np.arange(1, n + 1, dtype=float)
-    k = n - i + 1.0
-    if variant == "bottom":
-        s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
-        inv = np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)  # xi1_inv_upper(s)
-        return 1.0 - k / (n + 1.0) * (1.0 - inv)
-    if variant == "renyi":
-        c = ledger.get("c_order")
-        expo = c * np.maximum(
-            (t + np.sqrt(np.log(i))) * np.sqrt(i) / np.sqrt(n * k),
-            (t ** 2 + np.log(i)) / k,
-        )
-        return 1.0 - (n - i) / n * np.exp(-expo)
-    raise ValueError(f"variant must be 'bottom' or 'renyi', got {variant!r}")
-
-
-def normal_orderstat_envelope(
-    n: int,
-    i: int,
-    t: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> float:
-    """High-probability envelope C (ln(n/i) + t^2/i)^(1/2) for X_[i], i <= (n+1)/2."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    if not 1 <= i <= (n + 1) / 2:
-        raise ValueError("need 1 <= i <= (n+1)/2")
-    return ledger.get("C_order") * math.sqrt(math.log(n / i) + t ** 2 / i)
-
-
-def tx_deviation_bound(n: int, t: float, ledger: ConstantLedger = DEFAULT_LEDGER) -> float:
-    """Envelope C min{t^2 / sqrt(ln n), t} for |TX - TY|_inf, T the sorting map."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return ledger.get("C_order") * min(t ** 2 / math.sqrt(math.log(n)), t)
+    for each i = 1..n, holding simultaneously over i with probability at
+    least 1 - (pi^2/3) e^(-t^2/2)."""
+    k = n - np.arange(1, n + 1, dtype=float) + 1.0
+    s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
+    inv = np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)  # xi1_inv_upper(s)
+    return 1.0 - k / (n + 1.0) * (1.0 - inv)
 
 
 def median_psi_bounds(

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 # names are rejected, so that a typo or an unread constant cannot silently
 # leave a report unchanged.
 KNOWN_CONSTANTS = (
-    "C_order",        # order-statistic envelopes
-    "c_order",        # Renyi-type exponent rate
     "C_median_upper",  # upper median estimate for psi(X)
     "c_median_lower",  # lower median estimate for psi(X)
     "C_bound",        # generic upper constant in two-sided analytic bounds

@@ -1,8 +1,9 @@
-"""Gaussian random-matrix embeddings and distortion measurement."""
+"""Gaussian random matrices as plain (n, k) arrays, test directions and
+distortion measurement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,46 +12,21 @@ from .params import LorentzParams
 from .streams import RandomStream
 
 
-@dataclass(frozen=True)
-class GaussianMatrix:
-    """An n x k matrix with i.i.d. standard normal entries, reproducible by seed."""
-
-    n: int
-    k: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n, self.k):
-            raise ValueError(f"entries shape {e.shape} does not match ({self.n}, {self.k})")
-        object.__setattr__(self, "entries", e)
-
-
 def _check_k(n: int, k: int):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> GaussianMatrix:
+def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> np.ndarray:
+    """An (n, k) matrix of i.i.d. standard normal entries, reproducible by seed."""
     _check_k(n, k)
-    rng = stream.generator()
-    entries = rng.standard_normal((n, k))
-    return GaussianMatrix(n=n, k=k, entries=entries)
+    return stream.generator().standard_normal((n, k))
 
 
-def identity_injection(n: int, k: int) -> GaussianMatrix:
-    """Deterministic canonical-injection matrix, used as a test override."""
+def identity_injection(n: int, k: int) -> np.ndarray:
+    """Deterministic (n, k) canonical-injection matrix, used as a test override."""
     _check_k(n, k)
-    entries = np.zeros((n, k))
-    entries[:k, :k] = np.eye(k)
-    return GaussianMatrix(n=n, k=k, entries=entries)
-
-
-def embed(G: GaussianMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (G.k,):
-        raise ValueError(f"expected a length-{G.k} vector, got shape {x.shape}")
-    return G.entries @ x
+    return np.eye(n, k)
 
 
 def test_directions(k: int, count: int, mode: str, stream: RandomStream | None = None) -> np.ndarray:
@@ -101,16 +77,17 @@ QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
 
 def measure_distortion(
-    G: GaussianMatrix,
+    G: np.ndarray,
     params: LorentzParams,
     M: float,
     directions: np.ndarray,
     test_mode: str = "random_sphere",
 ) -> DistortionReport:
-    """Per-direction relative deviation | |G theta| / M - 1 | over unit columns."""
+    """Per-direction relative deviation | |G theta| / M - 1 | over unit columns,
+    for an (n, k) matrix G."""
     if M <= 0.0:
         raise ValueError("M must be positive")
-    norms = lorentz_norm_images(params, G.entries, directions)
+    norms = lorentz_norm_images(params, G, directions)
     devs = np.abs(norms / M - 1.0)
     quantiles = {lv: float(np.quantile(devs, lv)) for lv in QUANTILE_LEVELS}
     return DistortionReport(

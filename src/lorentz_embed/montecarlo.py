@@ -14,7 +14,7 @@ from .embedding import _check_k, sample_gaussian_matrix, test_directions
 from .norms import (_WORKERS, _run_tasks, lorentz_norm_columns,
                     lorentz_norm_images, psi_columns)
 from .params import LorentzParams, power_params
-from .regimes import corollary_dimension_rp
+from .regimes import _check_eps, corollary_dimension_rp
 from .sharp import grad_functional_columns, make_sharp_spec, sharp_and_grad_columns
 from .streams import RandomStream
 
@@ -29,6 +29,8 @@ Z95 = 1.959963984540054  # standard normal 0.975 quantile
 CALIBRATE_THRESHOLD = 0.98
 CALIBRATE_SAFETY = 0.8
 PROBE_THRESHOLD = 0.9
+# samples of the median estimate M in verify_embedding, the calibration and the probe
+MEDIAN_SAMPLES = 10 ** 4
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -115,11 +117,6 @@ def _check_counts(**counts: int):
             raise ValueError(f"{name} must be positive, got {count}")
 
 
-def _check_eps(eps: float):
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-
-
 def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
                     stream: RandomStream, M: float, matrix_factory=None) -> np.ndarray:
     """Per trial, the max of | |G theta|_{w,p} / M - 1 | over sampled directions.
@@ -133,7 +130,7 @@ def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
     sups = np.empty(trials)
     for trial in range(trials):
         G = factory(params.n, k, stream.substream(2 + trial))
-        norms = lorentz_norm_images(params, G.entries, dirs)
+        norms = lorentz_norm_images(params, G, dirs)
         sups[trial] = float(np.max(np.abs(norms / M - 1.0)))
     return sups
 
@@ -214,15 +211,15 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
                      matrix_factory=None) -> EmbeddingVerification:
     """Success rate of the (1 +- eps) event over random matrices and directions.
 
-    M defaults to the empirical median of |X|_{w,p} over 10^4 samples from a
-    dedicated substream.  matrix_factory, if given, replaces the Gaussian
-    sampler (test override for deterministic fixtures).
+    M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
+    from a dedicated substream.  matrix_factory, if given, replaces the
+    Gaussian sampler (test override for deterministic fixtures).
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)
     if M is None:
-        M = estimate_median_norm(params, 10 ** 4, stream.substream(0)).point
+        M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0)).point
     max_devs = _sup_deviations(params, k, trials, directions, stream, M,
                                matrix_factory)
     successes = int(np.sum(max_devs <= eps))
@@ -230,6 +227,13 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
                                  ci_high=hi, trials=trials, k=k, eps=eps,
                                  M_used=M, max_devs=tuple(max_devs))
+
+
+def _check_seed_split(fit_seed: int, validation_seed: int):
+    """Reject a validation seed equal to the fit seed; both calibrations call
+    this before their first draw."""
+    if fit_seed == validation_seed:
+        raise ValueError("validation seed must be distinct from the fit seed")
 
 
 @dataclass(frozen=True)
@@ -243,8 +247,7 @@ class CalibrationRecord:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fit_seed == self.validation_seed:
-            raise ValueError("validation seed must differ from the fit seed")
+        _check_seed_split(self.fit_seed, self.validation_seed)
 
     to_dict = asdict
 
@@ -302,12 +305,10 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     oracles).  The CLI dispatches its target 'success_rate' to
     calibrate_embedding_dimension instead.
     """
+    _check_seed_split(fit_stream.master_seed, validation_stream.master_seed)
     param_grid = tuple(param_grid)
     if not param_grid:
         raise ValueError("param_grid must be nonempty")
-    if (fit_stream.master_seed, fit_stream.stream_id) == \
-            (validation_stream.master_seed, validation_stream.stream_id):
-        raise ValueError("fit and validation streams must be distinct")
 
     ev = _ratio_evaluator(bound_name)
     ratios = []
@@ -391,12 +392,13 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     stay high far beyond the dimensions the bound speaks about; probing past
     the shape value would measure the direction sample, not the embedding.
     """
+    _check_seed_split(fit_stream.master_seed, validation_stream.master_seed)
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)
     k_cap = min(n, max(4, math.ceil(shape * (1.0 - 1e-9))))
-    M = estimate_median_norm(params, 10 ** 4, fit_stream.substream(10 ** 6)).point
+    M = estimate_median_norm(params, MEDIAN_SAMPLES, fit_stream.substream(10 ** 6)).point
     k_star, observed = _largest_successful_k(params, eps, trials, directions,
                                              CALIBRATE_THRESHOLD, fit_stream, M, k_cap)
     if k_star == 0:
@@ -462,7 +464,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     _check_counts(trials=trials, directions=directions)
     k_cap = min(n, math.ceil(4.0 * math.log(directions)))
     params = power_params(r, p, n)
-    M = estimate_median_norm(params, 10 ** 4, stream.substream(10 ** 6)).point
+    M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(10 ** 6)).point
 
     k_stars = []
     per_eps_observed = []

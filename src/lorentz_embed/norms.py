@@ -1,4 +1,6 @@
-"""Rearrangements, Lorentz norms, the psi potential and Lipschitz constants."""
+"""Lorentz (quasi-)norms and the psi potential of vectors, of matrix columns and
+of the images G @ directions, all on one blocked kernel; the gradient norm of
+psi and exact Lipschitz constants."""
 
 from __future__ import annotations
 
@@ -49,21 +51,6 @@ def _check_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
     return x
-
-
-def rearrange_desc(x) -> np.ndarray:
-    """Non-increasing rearrangement of the absolute values of x."""
-    x = _check_vector(x)
-    return np.sort(np.abs(x))[::-1]
-
-
-def sort_asc(x) -> np.ndarray:
-    """Non-decreasing rearrangement of the coordinates of x (signs kept).
-
-    As a map on R^n this is 1-Lipschitz for the Euclidean norm.
-    """
-    x = _check_vector(x)
-    return np.sort(x)
 
 
 def _check_dim(params: LorentzParams, x: np.ndarray):

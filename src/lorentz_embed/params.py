@@ -47,11 +47,6 @@ class LorentzParams:
     def n(self) -> int:
         return self.weights.n
 
-    @property
-    def quasi_norm_constant(self) -> float:
-        """Triangle-inequality constant: 1 for p >= 1, 2^(1/p) below."""
-        return 1.0 if self.p >= 1.0 else 2.0 ** (1.0 / self.p)
-
     def weight_values(self) -> np.ndarray:
         return self.weights.values
 

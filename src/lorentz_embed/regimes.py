@@ -67,6 +67,11 @@ def classify_case(r: float, p: float, n: int) -> RegimeCase:
     return RegimeCase(fig, "II")
 
 
+def _check_eps(eps: float):
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+
+
 def milman_dimension(
     M: float,
     b: float,
@@ -76,8 +81,7 @@ def milman_dimension(
     """The general Dvoretzky-type dimension c (M/b)^2 eps^2."""
     if M <= 0.0 or b <= 0.0:
         raise ValueError("M and b must be positive")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     return ledger.get("c_dim") * (M / b) ** 2 * eps ** 2
 
 
@@ -201,8 +205,7 @@ def corollary_dimension_rp(
         raise ValueError("need r in [0, 1] and p >= 1")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     return ledger.get("c_rp") * min(_simplified_EF(r, p, n, eps))
 
 
@@ -261,8 +264,7 @@ def ellinfty_regime(
     Applicable when p > c ln(1 + (1 + n^(1-r)) / (1 + |1-r| ln n) * ln n);
     the dimension bound is c2 eps ln(n) / ln(1/eps).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     ln = math.log(n)
     gate = ledger.get("c_ellinfty_gate") * math.log(
         1.0 + (1.0 + n ** (1.0 - r)) / (1.0 + abs(1.0 - r) * ln) * ln

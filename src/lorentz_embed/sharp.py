@@ -75,7 +75,6 @@ class SharpNormSpec:
     exponent: float
     S: float
     K: float
-    is_norm: bool = True
 
 
 def _check_classified(case: str, r: float, p: float, n: int):
@@ -132,8 +131,7 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
         T = float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
         coeff = i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (-(3.0 - 2.0 * p) / 2.0)
         K = math.ceil(n / i.size) * T ** (3.0 - 2.0 * p)
-        return SharpNormSpec(case, n, coeff, 1.0, C * T, K,
-                             is_norm=p >= 1.5 - 2.0 * r)
+        return SharpNormSpec(case, n, coeff, 1.0, C * T, K)
     if case == "III":
         if not (1.0 <= p < 1.5 - 2.0 * r):
             raise ValueError("Case III requires p < 3/2 - 2r")

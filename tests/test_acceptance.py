@@ -197,7 +197,7 @@ class TestCriterion5ExplicitTailConstant:
     @pytest.mark.parametrize("t", [2.0, 3.0])
     def test_uniform_orderstat_violation_rate(self, t):
         n, trials, chunk = 2048, 10 ** 4, 500
-        env = uniform_orderstat_upper_all(n, t, "bottom")
+        env = uniform_orderstat_upper_all(n, t)
         violations = 0
         stream = RandomStream(515)
         for ci, start in enumerate(range(0, trials, chunk)):

@@ -6,9 +6,7 @@ from scipy import integrate
 
 from lorentz_embed import (ConstantLedger, incomplete_gamma_bounds,
                            median_norm_shape, median_psi_bounds,
-                           normal_orderstat_envelope,
                            power_integral_bounds, power_log_sum_bounds,
-                           tx_deviation_bound,
                            uniform_orderstat_upper_all, xi1, xi1_inv_upper)
 from lorentz_embed.analytic import power_integral_exact, power_log_sum_exact
 
@@ -124,47 +122,9 @@ class TestXi1:
 
 
 class TestUniformOrderstat:
-    def test_renyi_vacuous_at_top(self):
-        assert uniform_orderstat_upper_all(100, 3.0, "renyi")[-1] == pytest.approx(1.0)
-
     def test_bottom_envelope_monotone(self):
-        env = uniform_orderstat_upper_all(512, 2.0, "bottom")
+        env = uniform_orderstat_upper_all(512, 2.0)
         assert np.all(np.diff(env) >= -1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            uniform_orderstat_upper_all(10, 1.0, "sideways")
-
-
-class TestNormalOrderstatEnvelope:
-    def test_formula_at_top(self):
-        n = 100
-        assert normal_orderstat_envelope(n, 1, 0.0) == pytest.approx(
-            math.sqrt(math.log(n)))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            normal_orderstat_envelope(100, 80, 1.0)  # i > (n+1)/2
-
-    def test_envelope_covers_simulation(self, rng):
-        # X_[i] <= C (ln(n/i) + t^2/i)^(1/2) should hold for most samples
-        # already at C = 1.3, t = 3 (high-probability event)
-        n, t = 1024, 3.0
-        half = (n + 1) // 2
-        env = np.array([normal_orderstat_envelope(n, i, t) for i in range(1, half + 1)])
-        X = np.sort(np.abs(rng.standard_normal((500, n))), axis=1)[:, ::-1]
-        ok = np.all(X[:, :half] <= 1.3 * env[None, :], axis=1)
-        assert np.mean(ok) > 0.9
-
-
-class TestTxDeviation:
-    def test_min_branches(self):
-        n = 100
-        small_t = 0.5
-        assert tx_deviation_bound(n, small_t) == pytest.approx(
-            small_t ** 2 / math.sqrt(math.log(n)))
-        big_t = 50.0
-        assert tx_deviation_bound(n, big_t) == pytest.approx(big_t)
 
 
 class TestMedianShapes:

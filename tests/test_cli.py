@@ -327,7 +327,9 @@ class TestLedgerFile:
         ({"c_dim": None}, "c_dim"),
         ({"c_dim": True}, "c_dim"),
         ({"C_gauss": 5}, "unknown constant name: 'C_gauss'"),
-    ], ids=["list", "string", "null", "bool", "unread-constant"])
+        ({"C_order": 1}, "unknown constant name: 'C_order'"),
+        ({"c_order": 1}, "unknown constant name: 'c_order'"),
+    ], ids=["list", "string", "null", "bool", "unread-constant", "C_order", "c_order"])
     def test_malformed_file_names_the_field(self, content, field, tmp_path, capsys):
         ledger = tmp_path / "ledger.json"
         ledger.write_text(json.dumps(content))
@@ -485,9 +487,12 @@ class TestOptionTable:
         (["probe", "--r", "0", "--p", "2", "--n", "50",
           "--eps-grid", "0.17,x,0.24,0.28"], {},
          "eps_grid entry is not a number: 'x'"),
+        (["calibrate", "--bound-name", "embedding_dimension", "--r", "0", "--p", "1.5",
+          "--n", "2000", "--eps", "0.2", "--validation-seed", "1"], {},
+         "validation seed must be distinct from the fit seed"),
     ], ids=["t-nan", "t-inf", "config-t-nan", "config-t-huge", "min-success-nan",
             "config-eps-inf", "min-success-above-1", "min-success-below-0",
-            "eps-grid-word"])
+            "eps-grid-word", "validation-seed-equal"])
     def test_bad_float_exits_before_sampling(self, argv, config, message, tmp_path,
                                              monkeypatch, capsys):
         def no_draws(self):

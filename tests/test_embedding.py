@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorentz_embed import (RandomStream, embed, estimate_median_norm,
+from lorentz_embed import (RandomStream, estimate_median_norm,
                            identity_injection, lorentz_norm_columns,
                            measure_distortion, power_params,
                            sample_gaussian_matrix)
@@ -49,7 +49,7 @@ class TestGaussianMatrix:
     def test_determinism(self):
         G1 = sample_gaussian_matrix(20, 5, RandomStream(11))
         G2 = sample_gaussian_matrix(20, 5, RandomStream(11))
-        assert np.array_equal(G1.entries, G2.entries)
+        assert np.array_equal(G1, G2)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -57,15 +57,15 @@ class TestGaussianMatrix:
 
     def test_entries_standard_normal_ks(self):
         G = sample_gaussian_matrix(200, 50, RandomStream(21))
-        stat, pvalue = stats.kstest(G.entries.ravel(), "norm")
+        stat, pvalue = stats.kstest(G.ravel(), "norm")
         assert pvalue > 0.01
 
     def test_moments(self):
         G = sample_gaussian_matrix(200, 100, RandomStream(22))
-        m = G.entries.size
-        assert abs(G.entries.mean()) < 5.0 / np.sqrt(m)
+        m = G.size
+        assert abs(G.mean()) < 5.0 / np.sqrt(m)
         # var of the sample variance of N(0,1) is 2/m
-        assert abs(G.entries.var() - 1.0) < 5.0 * np.sqrt(2.0 / m)
+        assert abs(G.var() - 1.0) < 5.0 * np.sqrt(2.0 / m)
 
     def test_rotational_invariance_ks(self):
         # |G e_1| and |G theta| for fixed random unit theta match in law
@@ -77,37 +77,11 @@ class TestGaussianMatrix:
         b = np.empty(trials)
         stream = RandomStream(23)
         for j in range(trials):
-            G = sample_gaussian_matrix(30, k, stream.substream(j)).entries
+            G = sample_gaussian_matrix(30, k, stream.substream(j))
             a[j] = np.linalg.norm(G[:, 0])
             b[j] = np.linalg.norm(G @ theta)
         stat, pvalue = stats.ks_2samp(a, b)
         assert pvalue > 0.01
-
-
-class TestEmbed:
-    def test_basis_action(self):
-        G = sample_gaussian_matrix(10, 3, RandomStream(31))
-        e2 = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(embed(G, e2), G.entries[:, 1])
-
-    def test_zero(self):
-        G = sample_gaussian_matrix(10, 3, RandomStream(31))
-        assert np.all(embed(G, np.zeros(3)) == 0.0)
-
-    def test_linearity(self):
-        G = sample_gaussian_matrix(10, 3, RandomStream(31))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x, y = rng.standard_normal((2, 3))
-            a, b = rng.standard_normal(2)
-            lhs = embed(G, a * x + b * y)
-            rhs = a * embed(G, x) + b * embed(G, y)
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        G = sample_gaussian_matrix(10, 3, RandomStream(31))
-        with pytest.raises(ValueError):
-            embed(G, np.ones(4))
 
 
 class TestDirections:
@@ -146,7 +120,7 @@ class TestMeasureDistortion:
         params = power_params(0.3, 1.5, n)
         G = sample_gaussian_matrix(n, k, RandomStream(52))
         dirs = make_directions(k, 200, "random_sphere", RandomStream(53))
-        norms = lorentz_norm_columns(params, G.entries @ dirs)
+        norms = lorentz_norm_columns(params, G @ dirs)
         for M in (4.0, 8.0):
             devs = np.abs(norms / M - 1.0)
             report = measure_distortion(G, params, M, dirs)

@@ -271,7 +271,7 @@ class TestVerifyEmbedding:
         dirs = make_directions(k, directions, "random_sphere", stream.substream(1))
         for trial, dev in enumerate(res.max_devs):
             G = sample_gaussian_matrix(params.n, k, stream.substream(2 + trial))
-            norms = lorentz_norm_columns(params, G.entries @ dirs)
+            norms = lorentz_norm_columns(params, G @ dirs)
             assert dev == pytest.approx(np.max(np.abs(norms / M - 1.0)), rel=1e-12)
 
     def test_no_whole_image_is_held(self):

@@ -12,8 +12,7 @@ from hypothesis.extra import numpy as hnp
 from lorentz_embed import (LorentzParams, WeightSequence, lipschitz_constant,
                            lipschitz_maximizer, lorentz_norm,
                            lorentz_norm_columns, lorentz_norm_images,
-                           power_params, psi, psi_columns, psi_gradient_norm,
-                           rearrange_desc, sort_asc)
+                           power_params, psi, psi_columns, psi_gradient_norm)
 from lorentz_embed import norms
 from lorentz_embed.norms import _power_sum, _power_sums
 from oracle import weighted_power_sum
@@ -57,48 +56,6 @@ class TestWeightSequence:
         with pytest.raises(ValueError):
             WeightSequence(np.array([1.0, -0.1]))
 
-    def test_quasi_norm_constant(self):
-        assert power_params(0.0, 0.5, 3).quasi_norm_constant == 4.0
-        assert power_params(0.0, 1.5, 3).quasi_norm_constant == 1.0
-
-
-class TestRearrange:
-    def test_example(self):
-        assert np.array_equal(rearrange_desc([-2, 1, 0]), [2, 1, 0])
-
-    def test_singleton(self):
-        assert np.array_equal(rearrange_desc([5.0]), [5.0])
-
-    def test_matches_naive_sort(self, rng):
-        x = rng.standard_normal(1000)
-        naive = sorted(abs(v) for v in x.tolist())[::-1]
-        assert np.array_equal(rearrange_desc(x), naive)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            rearrange_desc([1.0, float("nan")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rearrange_desc([])
-
-
-class TestSortAsc:
-    def test_example(self):
-        assert np.array_equal(sort_asc([3, -1, 2]), [-1, 2, 3])
-
-    def test_idempotent(self):
-        x = np.array([-1.0, 2.0, 3.0])
-        assert np.array_equal(sort_asc(sort_asc(x)), sort_asc(x))
-
-    def test_one_lipschitz(self, rng):
-        # sorting is 1-Lipschitz for the Euclidean norm
-        for _ in range(200):
-            x = rng.standard_normal(50)
-            y = rng.standard_normal(50)
-            lhs = np.linalg.norm(sort_asc(x) - sort_asc(y))
-            assert lhs <= np.linalg.norm(x - y) + 1e-12
-
 
 class TestLorentzNorm:
     def test_euclidean_case(self):
@@ -118,6 +75,14 @@ class TestLorentzNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lorentz_norm(power_params(0.0, 2.0, 3), [1.0, 2.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            lorentz_norm(power_params(0.0, 2.0, 2), [1.0, float("nan")])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            lorentz_norm(power_params(0.0, 2.0, 1), [])
 
     def test_columns_match_scalar(self, rng):
         params = power_params(0.7, 1.3, 15)
@@ -156,8 +121,7 @@ class TestLorentzNorm:
         params = power_params(0.5, p, n)
         y = np.roll(x, 1) * 0.5 - 1.0
         lhs = lorentz_norm(params, x + y)
-        rhs = params.quasi_norm_constant * (
-            lorentz_norm(params, x) + lorentz_norm(params, y))
+        rhs = 2.0 ** (1.0 / p) * (lorentz_norm(params, x) + lorentz_norm(params, y))
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-9
 
     @given(finite_vectors, st.floats(-100.0, 100.0))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import lorentz_embed
-from lorentz_embed import (ConstantLedger, WeightSequence, classify_case,
-                           compute_bound_report, corollary_dimension_rp,
-                           ellinfty_regime,
+from lorentz_embed import (KNOWN_CONSTANTS, ConstantLedger, WeightSequence,
+                           classify_case, compute_bound_report,
+                           corollary_dimension_rp, ellinfty_regime,
                            general_dimension, lomain_EF, lomain_EF_simplified,
                            make_sharp_spec, milman_dimension, power_params)
 from lorentz_embed.analytic import median_norm_shape
@@ -275,3 +275,14 @@ class TestBoundReport:
         report = compute_bound_report(1.0, 3.0, 100, 0.01)
         assert report.k_max == 1
         assert report.asymptotics_not_reached
+
+
+class TestLedger:
+    def test_every_known_constant_is_read(self):
+        # a constant that no formula reads would sit in every report's ledger
+        # block, and setting it in a ledger file would change nothing
+        src = Path(lorentz_embed.__file__).parent
+        text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+        unread = [name for name in KNOWN_CONSTANTS
+                  if f'ledger.get("{name}")' not in text]
+        assert unread == []

@@ -78,7 +78,6 @@ class TestSharpNorm:
 
     def test_case_II_triangle_inequality_when_norm(self, rng):
         spec = make_sharp_spec("II", 0.3, 1.2, 500, t=2.0)
-        assert spec.is_norm  # p = 1.2 >= 3/2 - 2r = 0.9
         X = rng.standard_normal((500, 50))
         Y = rng.standard_normal((500, 50))
         lhs = sharp_norm_columns(spec, X + Y)
