@@ -18,9 +18,8 @@ from .regimes import (BoundReport, RegimeCase, classify_case,
                       ellinfty_regime, general_dimension, lomain_EF,
                       lomain_EF_simplified, milman_dimension)
 from .streams import RandomStream
-from .embedding import (DistortionReport, identity_injection,
-                        measure_distortion, sample_gaussian_matrix,
-                        test_directions)
+from .embedding import (DistortionReport, measure_distortion,
+                        sample_gaussian_matrix, test_directions)
 from .montecarlo import (CalibrationRecord, EstimatorResult, calibrate,
                          calibrate_embedding_dimension, estimate_median_norm,
                          estimate_median_psi, scaling_probe, verify_embedding,

@@ -23,12 +23,6 @@ def sample_gaussian_matrix(n: int, k: int, stream: RandomStream) -> np.ndarray:
     return stream.generator().standard_normal((n, k))
 
 
-def identity_injection(n: int, k: int) -> np.ndarray:
-    """Deterministic (n, k) canonical-injection matrix, used as a test override."""
-    _check_k(n, k)
-    return np.eye(n, k)
-
-
 def test_directions(k: int, count: int, mode: str, stream: RandomStream | None = None) -> np.ndarray:
     """Unit test directions as a (k, count) matrix of columns.
 

@@ -11,17 +11,15 @@ import numpy as np
 
 from .constants import ConstantLedger
 from .embedding import _check_k, sample_gaussian_matrix, test_directions
-from .norms import (_WORKERS, _run_tasks, lorentz_norm_columns,
-                    lorentz_norm_images, psi_columns)
+from .norms import (BLOCK_ENTRIES, _buffers, _flat_pairs, _row_sums, _run_tasks,
+                    lorentz_norm_images)
 from .params import LorentzParams, power_params
 from .regimes import _check_eps, corollary_dimension_rp
-from .sharp import grad_functional_columns, make_sharp_spec, sharp_and_grad_columns
+from .sharp import _grad_pair, make_sharp_spec
 from .streams import RandomStream
 
 # chunk sizes are fixed so that results never depend on worker count
 TRIAL_CHUNK = 200
-# entries of the sample chunks drawn at once, each by its own worker
-DRAW_ENTRIES = 2 ** 20
 BOOTSTRAP_RESAMPLES = 1000  # replicates of the probe's slope CI
 Z95 = 1.959963984540054  # standard normal 0.975 quantile
 # the k-searches: least success rate of a passing k, and the calibration's
@@ -57,40 +55,45 @@ class EstimatorResult:
             raise RuntimeError("point estimate outside its confidence interval")
 
 
-def _normal_chunks(n: int, samples: int, stream: RandomStream):
-    """i.i.d. standard normal (n, m) chunks of TRIAL_CHUNK columns, samples
-    columns in all; chunk c is drawn from stream.substream(c).
+def _sample_power_sums(pairs: list, n: int, samples: int,
+                       stream: RandomStream) -> list:
+    """[sum_i c_i |x|_[i]^q for samples i.i.d. standard normal n-vectors x,
+    for each (c, q) in pairs], summed as norms._power_sums sums columns.
 
-    Up to _WORKERS chunks, of at most DRAW_ENTRIES entries together (or one
-    chunk), are drawn at once on the norm kernel's pool, each into its own
-    buffer; the values never depend on the worker count. The buffers are
-    reused, so a chunk is valid only until the next one is asked for. A few
-    allocations per call, not one per chunk, keep the peak memory from
-    depending on where the allocator puts freed chunks.
+    Sample s is row s mod TRIAL_CHUNK of chunk c = s // TRIAL_CHUNK, the
+    C-ordered draw of stream.substream(c), whose generator is made here. Each
+    chunk is one task on the norm kernel's pool: it draws its rows into its
+    thread's block buffer in slabs of at most BLOCK_ENTRIES entries (one row
+    where n is larger), which hold the values of the whole draw, and sums
+    them there. The slabs depend on n only, never on the worker count.
     """
-    chunks, width = -(-samples // TRIAL_CHUNK), min(TRIAL_CHUNK, samples)
-    group = max(1, min(chunks, _WORKERS, DRAW_ENTRIES // max(1, n * width)))
-    buffers = [np.empty(n * width) for _ in range(group)]
-    for first in range(0, chunks, group):
-        draws = []
-        for c, buffer in zip(range(first, min(first + group, chunks)), buffers):
-            X = buffer[:n * min(TRIAL_CHUNK, samples - c * TRIAL_CHUNK)].reshape(n, -1)
-            draws.append((stream.substream(c).generator(), X))
-        _run_tasks(lambda generator, X: generator.standard_normal(out=X), draws)
-        for _, X in draws:
-            yield X
+    flat = _flat_pairs(pairs, n)
+    outs = [np.empty(samples) for _ in pairs]
+    height = max(1, BLOCK_ENTRIES // n)
+
+    def task(start: int, generator: np.random.Generator):
+        stop = min(start + TRIAL_CHUNK, samples)
+        for row in range(start, stop, height):
+            rows = slice(row, min(row + height, stop))
+            A = _buffers.take(n * (rows.stop - row)).reshape(-1, n)
+            generator.standard_normal(out=A)
+            _row_sums(pairs, flat, np.abs(A, out=A), outs, rows)
+
+    _run_tasks(task, [(start, stream.substream(c).generator())
+                      for c, start in enumerate(range(0, samples, TRIAL_CHUNK))])
+    return outs
 
 
-def _estimate_median(columns_fn, params: LorentzParams, samples: int,
-                     stream: RandomStream) -> EstimatorResult:
-    """Sample median with the distribution-free 95% interval between the
-    order statistics of ranks floor(m/2 - h) + 1 and ceil(m/2 + h) + 1,
-    h = Z95 sqrt(m) / 2: it covers the true median with probability
-    P(floor(m/2 - h) + 1 <= Bin(m, 1/2) <= ceil(m/2 + h)), whatever the law."""
+def _estimate_median(params: LorentzParams, samples: int, stream: RandomStream,
+                     power: float) -> EstimatorResult:
+    """Sample median of psi^power with the distribution-free 95% interval
+    between the order statistics of ranks floor(m/2 - h) + 1 and
+    ceil(m/2 + h) + 1, h = Z95 sqrt(m) / 2: it covers the true median with
+    probability P(floor(m/2 - h) + 1 <= Bin(m, 1/2) <= ceil(m/2 + h)), whatever the law."""
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    values = np.concatenate([columns_fn(params, X)
-                             for X in _normal_chunks(params.n, samples, stream)])
+    values = _sample_power_sums([(params.weight_values(), params.p)], params.n,
+                                samples, stream)[0] ** power
     values.sort()
     half = Z95 * math.sqrt(samples) / 2.0
     return EstimatorResult(
@@ -102,12 +105,12 @@ def _estimate_median(columns_fn, params: LorentzParams, samples: int,
 
 def estimate_median_norm(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
     """Empirical median of |X|_{w,p} with an order-statistic 95% CI."""
-    return _estimate_median(lorentz_norm_columns, params, samples, stream)
+    return _estimate_median(params, samples, stream, 1.0 / params.p)
 
 
 def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
     """Empirical median of psi(X) = sum_i w_i X_[i]^p with an order-statistic 95% CI."""
-    return _estimate_median(psi_columns, params, samples, stream)
+    return _estimate_median(params, samples, stream, 1.0)
 
 
 def _check_counts(**counts: int):
@@ -166,17 +169,14 @@ def verify_orderorder(case: str, r: float, p: float, n: int, t: float,
     q = 2.0 * (p - 1.0)
     R = K * S ** q
 
-    holds = 0
-    violations = 0
-    for X in _normal_chunks(n, trials, stream):
-        if case == "I":  # its norm to the power q is the gradient sum itself
-            grad = grad_functional_columns(r, p, X)
-            sharp = grad ** (1.0 / q)
-        else:
-            sharp, grad = sharp_and_grad_columns(spec, r, p, X)
-        within = sharp <= S
-        holds += int(np.sum(within))
-        violations += int(np.sum(within & (grad > R)))
+    # case I's norm is the q-th root of the gradient sum itself
+    pairs = [(spec.coefficients, spec.exponent)]
+    if case != "I":
+        pairs.append(_grad_pair(r, p, n))
+    sums = _sample_power_sums(pairs, n, trials, stream)
+    within = sums[0] ** (1.0 / spec.exponent) <= S
+    holds = int(np.sum(within))
+    violations = int(np.sum(within & (sums[-1] > R)))
     lo, hi = wilson_interval(holds, trials)
     return OrderOrderVerification(case=case, prob_S_holds=holds / trials,
                                   ci_low=lo, ci_high=hi,

@@ -147,6 +147,41 @@ def _run_tasks(task, args: list):
         pass
 
 
+def _flat_pairs(pairs: list, n: int) -> list:
+    """Whether each pair's coefficients are equal over all n rows (no sort)."""
+    return [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
+
+
+def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice,
+              refill=None):
+    """outs[j][rows] = sum_i c_i Y_[i]^q for each (c, q) = pairs[j], from A, a
+    (width, n) view that holds |Y| with one row per column and is overwritten.
+
+    The flat pairs come first: each sums the powers along the rows in A's own
+    layout, times c[0]. The other pairs share one ascending sort of the rows
+    of a C-ordered A (refill() gives one where A is not C-ordered), so the
+    largest len(c) entries of a column are the tail of its row. Each pair
+    powers A in place, or a copy unless it comes last or q is 1.
+    """
+    n = A.shape[1]
+    order = sorted(range(len(pairs)), key=lambda j: not flat[j])
+    for i, j in enumerate(order):
+        (c, q), out = pairs[j], outs[j]
+        if not flat[j] and (i == 0 or flat[order[i - 1]]):
+            if not A.flags.c_contiguous:
+                A = refill()
+            A.sort(axis=1)
+        top = A if flat[j] else A[:, n - c.size:]
+        if i != len(order) - 1 and q != 1.0:
+            top = top.copy(order="K")
+        _power_in_place(top, q)
+        if flat[j]:
+            np.sum(top, axis=1, out=out[rows])
+            out[rows] *= c[0]
+        else:
+            out[rows] = top @ c[::-1]
+
+
 def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list:
     """[sum_i c_i Y_[i]^q for each column of Y, for each (c, q) in pairs],
     Y_[i] the non-increasing rearrangement of a column's absolute values;
@@ -155,59 +190,41 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list
     matrix D, which may differ from X @ D in the last bit.
 
     The columns are taken in the blocks of _block_bounds, each into a view
-    of the running thread's block buffer, and every column's result is
-    bitwise the one of an unblocked call. An image block is the C-ordered
-    (width, n) product D[:, block].T @ X.T, formed in that buffer, so no
-    (n, m) image is ever held. A pair whose coefficients are equal over all
-    rows needs no order: its block's |Y| keeps Y's own layout, so that each
-    column is summed as before. For the other pairs a block's |Y| is written
-    once, transposed, into a C-ordered (width, n) view that is sorted
-    ascending along its contiguous rows, so the largest len(c) entries of a
-    column are the tail of its row; every such pair is summed from that one
-    sort, the last one powered in place. X itself is never modified.
+    of the running thread's block buffer, and summed there by _row_sums;
+    every column's result is bitwise the one of an unblocked call. An image
+    block is the C-ordered (width, n) product D[:, block].T @ X.T, formed in
+    that buffer, so no (n, m) image is ever held. A block of X is written
+    transposed, C-ordered, unless a pair is flat: then it keeps X's own
+    layout, so that each column is summed as before, and the sorted pairs
+    take it again transposed. X itself is never modified.
     """
+    flat = _flat_pairs(pairs, X.shape[0])
     if D is None:
         n, m = X.shape
-        # the layout np.abs(X) would give: F when axis 0 has the smaller stride
-        order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
+        # flat pairs take the layout np.abs(X) would give, F when axis 0 has
+        # the smaller stride; sorted pairs alone take the transpose, C-ordered
+        order = "C" if any(flat) and abs(X.strides[0]) >= abs(X.strides[1]) else "F"
 
-        def fill(start: int, stop: int, A: np.ndarray):
-            np.abs(X[:, start:stop], out=A)
+        def fill(start: int, stop: int, A: np.ndarray) -> np.ndarray:
+            return np.abs(X[:, start:stop].T, out=A)
     else:
         (n, _), m, order = X.shape, D.shape[1], "F"
 
-        def fill(start: int, stop: int, A: np.ndarray):
-            np.matmul(D[:, start:stop].T, X.T, out=A.T)  # A.T is C-ordered
-            np.abs(A, out=A)
+        def fill(start: int, stop: int, A: np.ndarray) -> np.ndarray:
+            np.matmul(D[:, start:stop].T, X.T, out=A)
+            return np.abs(A, out=A)
 
-    flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
-    sorted_ = [j for j, f in enumerate(flat) if not f]
     outs = [np.empty(m) for _ in pairs]
 
     def task(start: int, stop: int):
         width = stop - start
         block = _buffers.take(n * width)
-        for (c, q), f, out in zip(pairs, flat, outs):
-            if f:
-                A = block.reshape((n, width), order=order)
-                fill(start, stop, A)
-                _power_in_place(A, q)
-                np.sum(A, axis=0, out=out[start:stop])
-        if not sorted_:
-            return
-        A = block.reshape(width, n)
-        fill(start, stop, A.T)
-        A.sort(axis=1)
-        for j in sorted_:
-            (c, q), out = pairs[j], outs[j]
-            top = A[:, n - c.size:]
-            if j != sorted_[-1] and q != 1.0:
-                top = top.copy()  # the sorted rows serve the pairs after it
-            _power_in_place(top, q)
-            out[start:stop] = top @ c[::-1]
+        A = fill(start, stop, block.reshape((n, width), order=order).T)
+        _row_sums(pairs, flat, A, outs, slice(start, stop),
+                  lambda: fill(start, stop, block.reshape(width, n)))
 
     _run_tasks(task, _block_bounds(n, m))
-    return [c[0] * out if f else out for (c, _), f, out in zip(pairs, flat, outs)]
+    return outs
 
 
 def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:

@@ -173,13 +173,3 @@ def sharp_norm(spec: SharpNormSpec, x) -> float:
 def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
     X = _check_columns(spec.n, X)
     return _power_sums([(spec.coefficients, spec.exponent)], X)[0] ** (1.0 / spec.exponent)
-
-
-def sharp_and_grad_columns(spec: SharpNormSpec, r: float, p: float,
-                           X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sharp_norm_columns(spec, X) and grad_functional_columns(r, p, X),
-    bitwise, with one sort of each column for the two sums."""
-    X = _check_columns(spec.n, X)
-    norm_power, grad = _power_sums(
-        [(spec.coefficients, spec.exponent), _grad_pair(r, p, spec.n)], X)
-    return norm_power ** (1.0 / spec.exponent), grad

@@ -1,6 +1,9 @@
-"""Naive reference for the weighted power sums behind every column kernel."""
+"""Naive reference for the weighted power sums behind every column kernel,
+and the deterministic matrix fixture of the embedding tests."""
 
 import math
+
+import numpy as np
 
 
 def weighted_power_sum(coeffs, x, q):
@@ -10,3 +13,9 @@ def weighted_power_sum(coeffs, x, q):
     """
     xs = sorted((abs(float(v)) for v in x), reverse=True)
     return math.fsum(float(c) * v ** q for c, v in zip(coeffs, xs))
+
+
+def identity_injection(n, k):
+    """The (n, k) canonical injection: a matrix_factory fixture whose every
+    image keeps its norm."""
+    return np.eye(n, k)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,21 +9,29 @@ import pytest
 
 from lorentz_embed import (RandomStream, calibrate,
                            calibrate_embedding_dimension, estimate_median_norm,
-                           estimate_median_psi, identity_injection,
-                           lorentz_norm_columns, power_params,
-                           sample_gaussian_matrix, scaling_probe,
+                           estimate_median_psi, lorentz_norm_columns,
+                           power_params, sample_gaussian_matrix, scaling_probe,
                            verify_embedding, verify_orderorder,
                            wilson_interval)
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
-from lorentz_embed import montecarlo, sharp
+from lorentz_embed import montecarlo, norms
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
 from lorentz_embed.sharp import (grad_functional_columns, make_sharp_spec,
                                  sharp_norm_columns)
+from oracle import identity_injection, weighted_power_sum
 
 # chi distribution with 100 degrees of freedom: median via the regularized
 # incomplete gamma inverse (independent quadrature-backed oracle)
 CHI100_MEDIAN = 9.966591059694464
+
+
+def drawn_chunks(n, samples, stream):
+    """The sampler's chunks as drawn whole: chunk c is the C-ordered (w, n)
+    draw of stream.substream(c), one sample per row."""
+    return [stream.substream(c).generator().standard_normal(
+                (min(montecarlo.TRIAL_CHUNK, samples - start), n))
+            for c, start in enumerate(range(0, samples, montecarlo.TRIAL_CHUNK))]
 
 
 class TestWilson:
@@ -72,8 +82,8 @@ class TestMedianEstimators:
         params = power_params(0.3, 1.5, 40)
         res = estimate_median_norm(params, samples, RandomStream(75))
         values = np.sort(np.concatenate([
-            lorentz_norm_columns(params, X)
-            for X in montecarlo._normal_chunks(params.n, samples, RandomStream(75))]))
+            lorentz_norm_columns(params, Z.T)
+            for Z in drawn_chunks(params.n, samples, RandomStream(75))]))
         half = montecarlo.Z95 * math.sqrt(samples) / 2.0
         assert res.point == float(np.median(values))
         assert res.ci_low == values[math.floor(samples / 2 - half)]
@@ -100,38 +110,62 @@ class TestMedianEstimators:
             covered += res.ci_low <= CHI100_MEDIAN <= res.ci_high
         assert 0.92 <= covered / 200 <= 0.98
 
-    def test_chunks_match_fresh_draws(self):
-        # the chunks share one buffer; each must still equal its own draw,
-        # the short last chunk included
-        stream = RandomStream(77)
-        chunks = [X.copy() for X in montecarlo._normal_chunks(7, 450, stream)]
-        assert [X.shape for X in chunks] == [(7, 200), (7, 200), (7, 50)]
-        for c, X in enumerate(chunks):
-            expected = stream.substream(c).generator().standard_normal(X.shape)
-            assert np.array_equal(X, expected)
-
-    # 1000 samples: five chunks, an odd count; 450: a short last chunk;
-    # 150: fewer samples than TRIAL_CHUNK
-    @pytest.mark.parametrize("samples", [1000, 450, 150])
-    @pytest.mark.parametrize("draw_entries", [1, 2 ** 20])
-    def test_parallel_chunks_match_serial_draws(self, samples, draw_entries,
-                                                monkeypatch):
-        # 2^20 entries let three 7 x 200 chunks be drawn at once, 1 entry
-        # keeps the draws serial
-        monkeypatch.setattr(montecarlo, "DRAW_ENTRIES", draw_entries)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
-        stream = RandomStream(78)
-        chunks = [X.copy() for X in montecarlo._normal_chunks(7, samples, stream)]
-        widths = [min(montecarlo.TRIAL_CHUNK, samples - start)
-                  for start in range(0, samples, montecarlo.TRIAL_CHUNK)]
-        assert [X.shape for X in chunks] == [(7, w) for w in widths]
-        for c, X in enumerate(chunks):
-            expected = stream.substream(c).generator().standard_normal(X.shape)
-            assert np.array_equal(X, expected)
-
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             estimate_median_norm(power_params(0.0, 2.0, 5), 50, RandomStream(0))
+
+
+class TestSampledSums:
+    # (n, samples): a short last chunk; chunks of two slabs (131 and 69
+    # rows); one-row slabs
+    @pytest.mark.parametrize("n, samples", [(7, 450), (2000, 250),
+                                            (norms.BLOCK_ENTRIES + 1, 3)],
+                             ids=["short-last-chunk", "two-slabs", "one-row-slabs"])
+    # flat; two sorted pairs, one truncated; case IVb's flat and sorted pair
+    @pytest.mark.parametrize("kind", ["flat", "sorted", "IVb"])
+    def test_rows_of_the_chunk_draws(self, kind, n, samples, monkeypatch):
+        i = np.arange(1, n + 1.0)
+        pairs = {"flat": [(np.full(n, 0.7), 1.5)],
+                 "sorted": [(i ** -0.3, 1.5), (i[:max(1, n // 4)] ** -0.6, 2.0)],
+                 "IVb": [(np.ones(n), 2.0), (i ** -0.9, 0.2)]}[kind]
+        stream = RandomStream(77)
+        chunks = drawn_chunks(n, samples, stream)
+        kernel = [np.concatenate(sums) for sums in
+                  zip(*(norms._power_sums(pairs, Z.T) for Z in chunks))]
+        monkeypatch.setattr(norms, "_WORKERS", 1)
+        serial = montecarlo._sample_power_sums(pairs, n, samples, stream)
+        with concurrent.futures.ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(norms, "_pool", pool)
+            monkeypatch.setattr(norms, "_WORKERS", 3)
+            parallel = montecarlo._sample_power_sums(pairs, n, samples, stream)
+        for (c, q), sums, again, columns in zip(pairs, serial, parallel, kernel):
+            assert np.array_equal(sums, again)
+            assert np.array_equal(sums, columns)
+            for x, got in zip(np.concatenate(chunks), sums):
+                assert got == pytest.approx(weighted_power_sum(c, x, q),
+                                            rel=1e-12, abs=0.0)
+
+    def test_callers_beyond_cores_share_no_buffer(self):
+        # four callers share the kernel's pool, switching threads often: a
+        # slab drawn into a buffer that another task also holds would mix
+        # their samples (n 2000: chunks of two slabs)
+        i = np.arange(1, 2001.0)
+        cases = [([(coeffs, 1.5)], RandomStream(seed))
+                 for coeffs in (np.full(2000, 0.7), i ** -0.3) for seed in (1, 2)]
+        expected = [montecarlo._sample_power_sums(pairs, 2000, 600, stream)[0]
+                    for pairs, stream in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(
+                    lambda c=c: [montecarlo._sample_power_sums(c[0], 2000, 600, c[1])[0]
+                                 for _ in range(5)]) for c in cases]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert all(np.array_equal(want, g) for g in got)
 
 
 class TestVerifyOrderOrder:
@@ -163,10 +197,10 @@ class TestVerifyOrderOrder:
         S = spec.S
         R = spec.K * S ** (2.0 * (p - 1.0))
         holds = violations = 0
-        for X in montecarlo._normal_chunks(n, trials, RandomStream(95)):
-            within = sharp_norm_columns(spec, X) <= S
+        for Z in drawn_chunks(n, trials, RandomStream(95)):
+            within = sharp_norm_columns(spec, Z.T) <= S
             holds += int(np.sum(within))
-            violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
+            violations += int(np.sum(within & (grad_functional_columns(r, p, Z.T) > R)))
         assert 0 < holds < trials
         assert (res.prob_S_holds, res.implication_violations, res.S, res.R) == \
             (holds / trials, violations, S, R)
@@ -185,24 +219,36 @@ class TestVerifyOrderOrder:
         spec = make_sharp_spec(case, r, p, n, t)
         R = spec.K * spec.S ** (2.0 * (p - 1.0))
         holds = violations = 0
-        for X in montecarlo._normal_chunks(n, trials, RandomStream(98)):
-            within = sharp_norm_columns(spec, X) <= spec.S
+        for Z in drawn_chunks(n, trials, RandomStream(98)):
+            within = sharp_norm_columns(spec, Z.T) <= spec.S
             holds += int(np.sum(within))
-            violations += int(np.sum(within & (grad_functional_columns(r, p, X) > R)))
-        sorted_columns = []
+            violations += int(np.sum(within & (grad_functional_columns(r, p, Z.T) > R)))
+        sorted_samples = []
 
-        def counting(pairs, X, D=None):
-            if not all(c.size == n and np.all(c == c[0]) for c, _ in pairs):
-                sorted_columns.append(X.shape[1])
-            return power_sums(pairs, X, D)
+        def counting(pairs, flat, A, outs, rows, refill=None):
+            if not all(flat):  # _row_sums sorts the rows of A once
+                sorted_samples.append(A.shape[0])
+            return row_sums(pairs, flat, A, outs, rows, refill)
 
-        power_sums = sharp._power_sums
-        monkeypatch.setattr(sharp, "_power_sums", counting)
+        row_sums = montecarlo._row_sums
+        monkeypatch.setattr(montecarlo, "_row_sums", counting)
         res = verify_orderorder(case, r, p, n, t, trials, DEFAULT_LEDGER,
                                 RandomStream(98))
-        assert sum(sorted_columns) == trials
+        assert sum(sorted_samples) == trials
         assert (res.prob_S_holds, res.implication_violations) == \
             (holds / trials, violations)
+
+    def test_no_sample_chunk_is_held(self):
+        # numpy reports its buffers to tracemalloc; one (n, TRIAL_CHUNK)
+        # chunk of samples alone would take 10^4 * 200 * 8 B = 16 MB
+        tracemalloc.start()
+        try:
+            verify_orderorder("I", 0.3, 2.0, 10 ** 4, 3.0, 400, DEFAULT_LEDGER,
+                              RandomStream(99))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     # (case, r, p, n, t) -> C_sharp -> (S, R, chain_K) as literals, so that a
     # change to any case's arithmetic shows up bit for bit
