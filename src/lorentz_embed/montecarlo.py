@@ -11,8 +11,7 @@ import numpy as np
 
 from .constants import ConstantLedger
 from .embedding import _check_k, sample_gaussian_matrix, test_directions
-from .norms import (BLOCK_ENTRIES, _buffers, _flat_pairs, _row_sums, _run_tasks,
-                    lorentz_norm_images)
+from .norms import _blocked_sums, lorentz_norm_images
 from .params import LorentzParams, power_params
 from .regimes import _check_eps, corollary_dimension_rp
 from .sharp import _grad_pair, make_sharp_spec
@@ -58,30 +57,20 @@ class EstimatorResult:
 def _sample_power_sums(pairs: list, n: int, samples: int,
                        stream: RandomStream) -> list:
     """[sum_i c_i |x|_[i]^q for samples i.i.d. standard normal n-vectors x,
-    for each (c, q) in pairs], summed as norms._power_sums sums columns.
+    for each (c, q) in pairs]. Sample s is row s mod TRIAL_CHUNK of chunk
+    c = s // TRIAL_CHUNK, the C-ordered draw of stream.substream(c), whose
+    generator is made here, in the calling thread. Each chunk is one task of
+    norms._blocked_sums, which draws the chunk's blocks one after another
+    into its thread's block buffer, so they hold the values of the whole
+    draw."""
+    starts = range(0, samples, TRIAL_CHUNK)
+    generators = [stream.substream(c).generator() for c in range(len(starts))]
 
-    Sample s is row s mod TRIAL_CHUNK of chunk c = s // TRIAL_CHUNK, the
-    C-ordered draw of stream.substream(c), whose generator is made here. Each
-    chunk is one task on the norm kernel's pool: it draws its rows into its
-    thread's block buffer in slabs of at most BLOCK_ENTRIES entries (one row
-    where n is larger), which hold the values of the whole draw, and sums
-    them there. The slabs depend on n only, never on the worker count.
-    """
-    flat = _flat_pairs(pairs, n)
-    outs = [np.empty(samples) for _ in pairs]
-    height = max(1, BLOCK_ENTRIES // n)
+    def fill(start: int, stop: int, A: np.ndarray):
+        np.abs(generators[start // TRIAL_CHUNK].standard_normal(out=A), out=A)
 
-    def task(start: int, generator: np.random.Generator):
-        stop = min(start + TRIAL_CHUNK, samples)
-        for row in range(start, stop, height):
-            rows = slice(row, min(row + height, stop))
-            A = _buffers.take(n * (rows.stop - row)).reshape(-1, n)
-            generator.standard_normal(out=A)
-            _row_sums(pairs, flat, np.abs(A, out=A), outs, rows)
-
-    _run_tasks(task, [(start, stream.substream(c).generator())
-                      for c, start in enumerate(range(0, samples, TRIAL_CHUNK))])
-    return outs
+    return _blocked_sums(pairs, n, samples, fill,
+                         [(s, min(s + TRIAL_CHUNK, samples)) for s in starts])
 
 
 def _estimate_median(params: LorentzParams, samples: int, stream: RandomStream,

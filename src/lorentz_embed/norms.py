@@ -1,6 +1,7 @@
 """Lorentz (quasi-)norms and the psi potential of vectors, of matrix columns and
-of the images G @ directions, all on one blocked kernel; the gradient norm of
-psi and exact Lipschitz constants."""
+of the images G @ directions, all on one blocked kernel that sums C-ordered
+row blocks filled by its caller; the gradient norm of psi and exact Lipschitz
+constants."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from .params import LorentzParams
 
-# entries (n x width) of one column block of the norm kernel; the blocks are
-# fixed by n and m, so that results never depend on the worker count
+# entries (width x n) of one block of the norm kernel; the blocks are fixed
+# by n and m, so that results never depend on the worker count
 BLOCK_ENTRIES = 2 ** 18
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -66,14 +67,12 @@ def _check_columns(n: int, X) -> np.ndarray:
 
 
 def _power_in_place(A: np.ndarray, q: float):
-    """A ** q in place on a 2-d view with one contiguous axis. q = 3/2 is
+    """A ** q in place on a 2-d view with contiguous rows. q = 3/2 is
     a * sqrt(a), two correctly rounded operations, taken in slices of at most
-    POWER_SLICE entries along that axis through the thread's scratch."""
+    POWER_SLICE entries along the rows through the thread's scratch."""
     if q == 2.0:
         np.square(A, out=A)
     elif q == 1.5:
-        if A.strides[0] < A.strides[1]:
-            A = A.T  # its rows are the contiguous axis
         rows, cols = A.shape
         step = max(1, POWER_SLICE // cols)
         for i in range(0, rows, step):
@@ -87,11 +86,11 @@ def _power_in_place(A: np.ndarray, q: float):
 
 
 def _block_bounds(n: int, m: int) -> list:
-    """(start, stop) of the column blocks of an (n, m) matrix: as few as keep
+    """(start, stop) of the blocks of m vectors of length n: as few as keep
     each within BLOCK_ENTRIES entries, of near-equal widths, each at least 2
-    wide unless m is 1 (a lone column of a C-ordered matrix would be summed
-    pairwise, the others row by row, and the results would differ in the last
-    bit). They depend on n and m only, never on the worker count."""
+    wide unless m is 1, since the image of one direction is a GEMV product,
+    which may differ in the last bit from the rows of a GEMM of two or more.
+    They depend on n and m only, never on the worker count."""
     blocks = min(-(-m // max(2, BLOCK_ENTRIES // n)), max(1, m // 2))
     return [(j * m // blocks, (j + 1) * m // blocks) for j in range(blocks)]
 
@@ -147,20 +146,14 @@ def _run_tasks(task, args: list):
         pass
 
 
-def _flat_pairs(pairs: list, n: int) -> list:
-    """Whether each pair's coefficients are equal over all n rows (no sort)."""
-    return [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
-
-
-def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice,
-              refill=None):
+def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
     """outs[j][rows] = sum_i c_i Y_[i]^q for each (c, q) = pairs[j], from A, a
-    (width, n) view that holds |Y| with one row per column and is overwritten.
+    C-ordered (width, n) block that holds |Y| with one row per vector and is
+    overwritten.
 
-    The flat pairs come first: each sums the powers along the rows in A's own
-    layout, times c[0]. The other pairs share one ascending sort of the rows
-    of a C-ordered A (refill() gives one where A is not C-ordered), so the
-    largest len(c) entries of a column are the tail of its row. Each pair
+    The flat pairs come first: each sums the powers along the rows, times
+    c[0]. The other pairs share one ascending sort of the rows, so the
+    largest len(c) entries of a vector are the tail of its row. Each pair
     powers A in place, or a copy unless it comes last or q is 1.
     """
     n = A.shape[1]
@@ -168,8 +161,6 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice,
     for i, j in enumerate(order):
         (c, q), out = pairs[j], outs[j]
         if not flat[j] and (i == 0 or flat[order[i - 1]]):
-            if not A.flags.c_contiguous:
-                A = refill()
             A.sort(axis=1)
         top = A if flat[j] else A[:, n - c.size:]
         if i != len(order) - 1 and q != 1.0:
@@ -182,6 +173,26 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice,
             out[rows] = top @ c[::-1]
 
 
+def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list) -> list:
+    """The sums of _power_sums for m vectors Y of length n. Each (start, stop)
+    in groups is one task on _run_tasks, which takes those vectors in the
+    blocks of _block_bounds(n, stop - start): fill(lo, hi, A) writes |Y| of
+    vectors lo to hi as the rows of A, a C-ordered view of the thread's block
+    buffer, and _row_sums sums them there. A row's sums do not depend on its
+    block's height, so the results never depend on the worker count."""
+    flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
+    outs = [np.empty(m) for _ in pairs]
+
+    def task(start: int, stop: int):
+        for lo, hi in _block_bounds(n, stop - start):
+            A = _buffers.take(n * (hi - lo)).reshape(hi - lo, n)
+            fill(start + lo, start + hi, A)
+            _row_sums(pairs, flat, A, outs, slice(start + lo, start + hi))
+
+    _run_tasks(task, groups)
+    return outs
+
+
 def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list:
     """[sum_i c_i Y_[i]^q for each column of Y, for each (c, q) in pairs],
     Y_[i] the non-increasing rearrangement of a column's absolute values;
@@ -189,42 +200,23 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list
     F-ordered product (D.T @ X.T).T of the (n, k) matrix X and the (k, m)
     matrix D, which may differ from X @ D in the last bit.
 
-    The columns are taken in the blocks of _block_bounds, each into a view
-    of the running thread's block buffer, and summed there by _row_sums;
-    every column's result is bitwise the one of an unblocked call. An image
-    block is the C-ordered (width, n) product D[:, block].T @ X.T, formed in
-    that buffer, so no (n, m) image is ever held. A block of X is written
-    transposed, C-ordered, unless a pair is flat: then it keeps X's own
-    layout, so that each column is summed as before, and the sorted pairs
-    take it again transposed. X itself is never modified.
+    Each block of _block_bounds(n, m) is one task of _blocked_sums, filled
+    with its columns as rows: X's, or the product D[:, block].T @ X.T, so no
+    (n, m) image is held. Each column's result is bitwise the one of an
+    unblocked call. X itself is never modified.
     """
-    flat = _flat_pairs(pairs, X.shape[0])
     if D is None:
         n, m = X.shape
-        # flat pairs take the layout np.abs(X) would give, F when axis 0 has
-        # the smaller stride; sorted pairs alone take the transpose, C-ordered
-        order = "C" if any(flat) and abs(X.strides[0]) >= abs(X.strides[1]) else "F"
 
-        def fill(start: int, stop: int, A: np.ndarray) -> np.ndarray:
-            return np.abs(X[:, start:stop].T, out=A)
+        def fill(start: int, stop: int, A: np.ndarray):
+            np.abs(X[:, start:stop].T, out=A)
     else:
-        (n, _), m, order = X.shape, D.shape[1], "F"
+        (n, _), m = X.shape, D.shape[1]
 
-        def fill(start: int, stop: int, A: np.ndarray) -> np.ndarray:
-            np.matmul(D[:, start:stop].T, X.T, out=A)
-            return np.abs(A, out=A)
+        def fill(start: int, stop: int, A: np.ndarray):
+            np.abs(np.matmul(D[:, start:stop].T, X.T, out=A), out=A)
 
-    outs = [np.empty(m) for _ in pairs]
-
-    def task(start: int, stop: int):
-        width = stop - start
-        block = _buffers.take(n * width)
-        A = fill(start, stop, block.reshape((n, width), order=order).T)
-        _row_sums(pairs, flat, A, outs, slice(start, stop),
-                  lambda: fill(start, stop, block.reshape(width, n)))
-
-    _run_tasks(task, _block_bounds(n, m))
-    return outs
+    return _blocked_sums(pairs, n, m, fill, _block_bounds(n, m))
 
 
 def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:

@@ -116,11 +116,11 @@ class TestMedianEstimators:
 
 
 class TestSampledSums:
-    # (n, samples): a short last chunk; chunks of two slabs (131 and 69
-    # rows); one-row slabs
+    # (n, samples): a short last chunk; a chunk of two 100-row slabs and a
+    # last chunk of one 50-row slab; slabs of 2 and 3 rows, the least height
     @pytest.mark.parametrize("n, samples", [(7, 450), (2000, 250),
-                                            (norms.BLOCK_ENTRIES + 1, 3)],
-                             ids=["short-last-chunk", "two-slabs", "one-row-slabs"])
+                                            (norms.BLOCK_ENTRIES + 1, 5)],
+                             ids=["short-last-chunk", "two-slabs", "two-and-three-row-slabs"])
     # flat; two sorted pairs, one truncated; case IVb's flat and sorted pair
     @pytest.mark.parametrize("kind", ["flat", "sorted", "IVb"])
     def test_rows_of_the_chunk_draws(self, kind, n, samples, monkeypatch):
@@ -225,13 +225,13 @@ class TestVerifyOrderOrder:
             violations += int(np.sum(within & (grad_functional_columns(r, p, Z.T) > R)))
         sorted_samples = []
 
-        def counting(pairs, flat, A, outs, rows, refill=None):
+        def counting(pairs, flat, A, outs, rows):
             if not all(flat):  # _row_sums sorts the rows of A once
                 sorted_samples.append(A.shape[0])
-            return row_sums(pairs, flat, A, outs, rows, refill)
+            return row_sums(pairs, flat, A, outs, rows)
 
-        row_sums = montecarlo._row_sums
-        monkeypatch.setattr(montecarlo, "_row_sums", counting)
+        row_sums = norms._row_sums
+        monkeypatch.setattr(norms, "_row_sums", counting)
         res = verify_orderorder(case, r, p, n, t, trials, DEFAULT_LEDGER,
                                 RandomStream(98))
         assert sum(sorted_samples) == trials

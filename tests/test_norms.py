@@ -176,8 +176,8 @@ def kernel_cases(draw):
     n = draw(st.integers(1, 30))
     m = draw(st.integers(1, 4))
     X = draw(hnp.arrays(np.float64, (n, m), elements=kernel_entries))
-    # the kernel reads C-ordered chunks, the F-ordered .T views of image
-    # blocks, and any strided slice
+    # the kernel writes every block as C-ordered rows, whatever X's layout:
+    # C, F or a strided slice
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     if layout == "F":
         X = np.asfortranarray(X)
@@ -242,10 +242,9 @@ class TestPowerSumKernel:
 def three_halves_reference(coeffs, X):
     """The kernel's arithmetic, unblocked, with |x|^(3/2) as |x| * sqrt(|x|)."""
     n, c = X.shape[0], coeffs.size
-    if c == n and np.all(coeffs == coeffs[0]):
-        A = np.abs(X)
-        return coeffs[0] * np.sum(A * np.sqrt(A), axis=0)
     A = np.abs(X.T, order="C")
+    if c == n and np.all(coeffs == coeffs[0]):
+        return coeffs[0] * np.sum(A * np.sqrt(A), axis=1)
     A.sort(axis=1)
     top = A[:, n - c:]
     return (top * np.sqrt(top)) @ coeffs[::-1]
@@ -316,8 +315,7 @@ class TestThreeHalvesPower:
 class TestImagesKernel:
     # the images are formed as the C-ordered product D.T @ G.T, block by
     # block, and its transpose is the matrix the unfused kernel gets: G @ D
-    # may differ from it in the last bit (at odd m, or k = 80 here), and
-    # constant weights sum a C-ordered matrix's columns in another order
+    # may differ from it in the last bit (at odd m, or k = 80 here)
     # (n, k, m): m = 1; k = 1; m not a multiple of the block width (blocks
     # of 125 and 126 columns at n = 2000; 2 and 3 at n = 140000 >
     # BLOCK_ENTRIES / 2)
@@ -332,6 +330,19 @@ class TestImagesKernel:
         assert np.array_equal(fused, lorentz_norm_columns(params, (D.T @ G.T).T))
         assert np.allclose(fused, lorentz_norm_columns(params, G @ D),
                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_blocks_of_two_directions_in_one_thread(self, r, rng, monkeypatch):
+        # BLOCK_ENTRIES = n asks for blocks 1 wide, and the kernel makes blocks
+        # of 2 and 3 of the 41 directions: a block of one would form its
+        # image as a GEMV, apart in the last bit from the GEMM's rows
+        params = power_params(r, 1.5, 300)
+        G = rng.standard_normal((300, 4))
+        D = rng.standard_normal((4, 41))
+        unfused = lorentz_norm_columns(params, (D.T @ G.T).T)
+        monkeypatch.setattr(norms, "_WORKERS", 1)
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 300)
+        assert np.array_equal(lorentz_norm_images(params, G, D), unfused)
 
     def test_callers_beyond_cores_share_no_buffer(self, rng, monkeypatch):
         # four callers form images in the pool's block buffers at once
