@@ -9,10 +9,10 @@ from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
                     psi_gradient_norm)
 from .sharp import (beta_weights, grad_functional, make_sharp_spec,
                     sharp_norm, sharp_norm_columns, SharpNormSpec)
-from .analytic import (incomplete_gamma_bounds, median_norm_shape,
-                       median_psi_bounds, power_integral_bounds,
-                       power_log_sum_bounds, TwoSidedBound,
-                       uniform_orderstat_upper_all, xi1, xi1_inv_upper)
+from .analytic import (incomplete_gamma_shape, median_norm_shape,
+                       median_psi_shape, power_integral_shape,
+                       power_log_sum_shape, uniform_orderstat_upper_all, xi1,
+                       xi1_inv_upper)
 from .regimes import (BoundReport, RegimeCase, classify_case,
                       compute_bound_report, corollary_dimension_rp,
                       ellinfty_regime, general_dimension, lomain_EF,
@@ -20,7 +20,7 @@ from .regimes import (BoundReport, RegimeCase, classify_case,
 from .streams import RandomStream
 from .embedding import (DistortionReport, measure_distortion,
                         sample_gaussian_matrix, test_directions)
-from .montecarlo import (CalibrationRecord, EstimatorResult, calibrate,
+from .montecarlo import (CalibrationRecord, calibrate,
                          calibrate_embedding_dimension, estimate_median_norm,
                          estimate_median_psi, scaling_probe, verify_embedding,
                          verify_orderorder, wilson_interval)

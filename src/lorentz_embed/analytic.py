@@ -1,70 +1,35 @@
-"""Closed-form two-sided estimates: incomplete-gamma integrals, power/log sums,
-power integrals, the xi1 envelope, the uniform order-statistic envelope and
-psi medians."""
+"""Closed-form shapes of two-sided estimates (incomplete-gamma integrals,
+power/log sums, power integrals and psi medians), with their exact oracles,
+the xi1 envelope and the uniform order-statistic envelope. Each estimate
+holds up to universal constants that the theory leaves unspecified; only
+its shape is computed here."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_LEDGER, ConstantLedger
 
-
-@dataclass(frozen=True)
-class TwoSidedBound:
-    """Carrier for a c * expr <= quantity <= C * expr estimate."""
-
-    lower: float
-    upper: float
-    shape_value: float
-    constants_used: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise RuntimeError("lower bound exceeds upper bound")
-
-
-def _generic_bound(shape: float, exponent: float, ledger: ConstantLedger) -> TwoSidedBound:
-    """c_bound^e * shape <= quantity <= C_bound^e * shape."""
-    c = ledger.get("c_bound") ** exponent
-    C = ledger.get("C_bound") ** exponent
-    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape, ("c_bound", "C_bound"))
-
-
-def incomplete_gamma_bounds(
-    b: float,
-    q: float,
-    sign: str,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> TwoSidedBound:
-    """Two-sided bounds for int_0^b e^(-w) w^q dw (decay) or e^(+w) (growth).
-
-    Shapes: min{1+q, b}^(1+q) for decay, e^b b^(1+q) / (1+q+b) for growth.
-    The decay constants enter with exponent 1+q.
+def incomplete_gamma_shape(b: float, q: float, sign: str) -> float:
+    """Shape of int_0^b e^(-w) w^q dw (decay) or of int_0^b e^(+w) w^q dw
+    (growth): min{1+q, b}^(1+q) for decay, e^b b^(1+q) / (1+q+b) for growth.
     """
     if b < 0.0 or q < 0.0:
         raise ValueError("b and q must be nonnegative")
     if sign == "decay":
-        return _generic_bound(min(1.0 + q, b) ** (1.0 + q), 1.0 + q, ledger)
+        return min(1.0 + q, b) ** (1.0 + q)
     if sign == "growth":
-        return _generic_bound(math.exp(b) * b ** (1.0 + q) / (1.0 + q + b), 1.0, ledger)
+        return math.exp(b) * b ** (1.0 + q) / (1.0 + q + b)
     raise ValueError(f"sign must be 'decay' or 'growth', got {sign!r}")
 
 
-def power_log_sum_bounds(
-    a: float,
-    q: float,
-    n: int,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> TwoSidedBound:
-    """Two-sided bounds for sum_{i=1}^n i^(-a) (ln(n/i))^q, with 0^0 = 1 at i = n.
+def power_log_sum_shape(a: float, q: float, n: int) -> float:
+    """Shape of sum_{i=1}^n i^(-a) (ln(n/i))^q, with 0^0 = 1 at i = n.
 
-    For a in [0, 1]: shape n^(1-a) (1+q)^(1+q) (ln n)^(1+q) / ((1-a) ln n + 1 + q)^(1+q),
-    constants with exponent 1+q.  For a >= 1: shape
-    (ln n)^(1+q) / ((a-1) ln n + 1 + q) + (ln n)^q.  At a = 1 either branch works;
-    this implementation uses the second.
+    For a in [0, 1): n^(1-a) (1+q)^(1+q) (ln n)^(1+q) / ((1-a) ln n + 1 + q)^(1+q).
+    For a >= 1: (ln n)^(1+q) / ((a-1) ln n + 1 + q) + (ln n)^q. At a = 1
+    either branch works; this implementation uses the second.
     """
     if a < 0.0 or q < 0.0:
         raise ValueError("a and q must be nonnegative")
@@ -72,10 +37,9 @@ def power_log_sum_bounds(
         raise ValueError("n must be at least 2")
     ln = math.log(n)
     if a < 1.0:
-        shape = n ** (1.0 - a) * (1.0 + q) ** (1.0 + q) * ln ** (1.0 + q) \
+        return n ** (1.0 - a) * (1.0 + q) ** (1.0 + q) * ln ** (1.0 + q) \
             / ((1.0 - a) * ln + 1.0 + q) ** (1.0 + q)
-        return _generic_bound(shape, 1.0 + q, ledger)
-    return _generic_bound(ln ** (1.0 + q) / ((a - 1.0) * ln + 1.0 + q) + ln ** q, 1.0, ledger)
+    return ln ** (1.0 + q) / ((a - 1.0) * ln + 1.0 + q) + ln ** q
 
 
 def _log_power_sum(v: np.ndarray, q: float, n: int):
@@ -88,17 +52,12 @@ def power_log_sum_exact(a: float, q: float, n: int) -> float:
     return float(_log_power_sum(np.arange(1, n + 1, dtype=float) ** (-a), q, n))
 
 
-def power_integral_bounds(
-    a: float,
-    T: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> TwoSidedBound:
-    """Two-sided bounds for int_1^T x^(-a) dx with shape
-    (1 + T^(1-a)) ln(T) / (1 + |1-a| ln T)."""
+def power_integral_shape(a: float, T: float) -> float:
+    """Shape (1 + T^(1-a)) ln(T) / (1 + |1-a| ln T) of int_1^T x^(-a) dx."""
     if T < 1.0:
         raise ValueError("T must be at least 1")
     lnT = math.log(T)
-    return _generic_bound((1.0 + T ** (1.0 - a)) * lnT / (1.0 + abs(1.0 - a) * lnT), 1.0, ledger)
+    return (1.0 + T ** (1.0 - a)) * lnT / (1.0 + abs(1.0 - a) * lnT)
 
 
 def power_integral_exact(a: float, T: float) -> float:
@@ -117,11 +76,12 @@ def xi1(t: float) -> float:
     return math.exp(t) * (1.0 - t)
 
 
-def xi1_inv_upper(s: float) -> float:
-    """Upper bound min{sqrt(2(1-s)), 1 - s/e} for the inverse of xi1."""
-    if not 0.0 <= s <= 1.0:
+def xi1_inv_upper(s):
+    """Upper bound min{sqrt(2(1-s)), 1 - s/e} for the inverse of xi1, elementwise."""
+    s = np.asarray(s, dtype=float)
+    if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError("xi1_inv_upper is defined on [0, 1]")
-    return min(math.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
+    return np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)
 
 
 def uniform_orderstat_upper_all(n: int, t: float) -> np.ndarray:
@@ -130,21 +90,14 @@ def uniform_orderstat_upper_all(n: int, t: float) -> np.ndarray:
     least 1 - (pi^2/3) e^(-t^2/2)."""
     k = n - np.arange(1, n + 1, dtype=float) + 1.0
     s = np.exp((-t ** 2 - 4.0 * np.log(k)) / (2.0 * k))
-    inv = np.minimum(np.sqrt(2.0 * (1.0 - s)), 1.0 - s / math.e)  # xi1_inv_upper(s)
-    return 1.0 - k / (n + 1.0) * (1.0 - inv)
+    return 1.0 - k / (n + 1.0) * (1.0 - xi1_inv_upper(s))
 
 
-def median_psi_bounds(
-    r: float,
-    p: float,
-    n: int,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> TwoSidedBound:
-    """Two-sided bounds for the median of sum_i i^(-r) X_[i]^p, X standard normal.
+def median_psi_shape(r: float, p: float, n: int) -> float:
+    """Shape of the median of psi(X) = sum_i i^(-r) X_[i]^p, X standard normal.
 
-    For r in [0, 1]: shape p^(p/2) n^(1-r) (ln n)^(1+p/2) / (p + (1-r) ln n)^(1+p/2);
-    for r >= 1: shape (ln n)^(1+p/2) / (1 + (r-1) ln n) + (ln n)^(p/2).
-    Constants enter with exponent p.
+    For r in [0, 1): p^(p/2) n^(1-r) (ln n)^(1+p/2) / (p + (1-r) ln n)^(1+p/2);
+    for r >= 1: (ln n)^(1+p/2) / (1 + (r-1) ln n) + (ln n)^(p/2).
     """
     if r < 0.0 or p < 1.0:
         raise ValueError("need r >= 0 and p >= 1")
@@ -152,14 +105,9 @@ def median_psi_bounds(
         raise ValueError("n must be at least 2")
     ln = math.log(n)
     if r < 1.0:
-        shape = p ** (p / 2.0) * n ** (1.0 - r) * ln ** (1.0 + p / 2.0) \
+        return p ** (p / 2.0) * n ** (1.0 - r) * ln ** (1.0 + p / 2.0) \
             / (p + (1.0 - r) * ln) ** (1.0 + p / 2.0)
-    else:
-        shape = ln ** (1.0 + p / 2.0) / (1.0 + (r - 1.0) * ln) + ln ** (p / 2.0)
-    c = ledger.get("c_median_lower") ** p
-    C = ledger.get("C_median_upper") ** p
-    return TwoSidedBound(min(c, C) * shape, max(c, C) * shape, shape,
-                         ("c_median_lower", "C_median_upper"))
+    return ln ** (1.0 + p / 2.0) / (1.0 + (r - 1.0) * ln) + ln ** (p / 2.0)
 
 
 def median_norm_shape(weights: np.ndarray, p: float, n: int) -> float:

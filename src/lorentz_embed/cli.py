@@ -243,7 +243,7 @@ def _cmd_simulate(config: dict, ledger: ConstantLedger) -> tuple:
     _check_k(params.n, k)
     if mode == "grid2d" and k != 2:
         raise UsageError("grid2d mode requires k = 2")
-    M = estimate_median_norm(params, config["samples"], stream.substream(0)).point
+    M = estimate_median_norm(params, config["samples"], stream.substream(0))
     G = sample_gaussian_matrix(params.n, k, stream.substream(1))
     dirs = test_directions(k, config["directions"], mode, stream.substream(2))
     return measure_distortion(G, params, M, dirs, test_mode=mode), EXIT_OK

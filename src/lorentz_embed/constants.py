@@ -1,9 +1,10 @@
 """Named stand-ins for the universal constants left unspecified by the theory.
 
-Every bound in this package is computed in "shape form" (all constants equal
-to 1) and in "ledger form" (shape multiplied by the relevant ledger entries).
-Calibration routines in :mod:`lorentz_embed.montecarlo` fit ledger entries
-empirically.
+Only the dimension bounds of :mod:`lorentz_embed.regimes` and the quantile
+level of :mod:`lorentz_embed.sharp` have a "ledger form": their shape (all
+constants equal to 1) times the named ledger entries. The two-sided
+estimates of :mod:`lorentz_embed.analytic` are computed in shape form only;
+``calibrate`` fits each one's constant as the largest true/shape ratio.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from dataclasses import dataclass, field
 # names are rejected, so that a typo or an unread constant cannot silently
 # leave a report unchanged.
 KNOWN_CONSTANTS = (
-    "C_median_upper",  # upper median estimate for psi(X)
-    "c_median_lower",  # lower median estimate for psi(X)
-    "C_bound",        # generic upper constant in two-sided analytic bounds
-    "c_bound",        # generic lower constant in two-sided analytic bounds
     "c_dim",          # embedding-dimension formulas (d, E, F, d_general)
     "c_rp",           # the (r, p) coefficient: simplified (E, F) tables and d'
     "c2_ellinfty",    # dimension constant in the ell-infinity regime

@@ -42,18 +42,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
-    point: float
-    ci_low: float
-    ci_high: float
-    samples: int
-
-    def __post_init__(self):
-        if not self.ci_low <= self.point <= self.ci_high:
-            raise RuntimeError("point estimate outside its confidence interval")
-
-
 def _sample_power_sums(pairs: list, n: int, samples: int,
                        stream: RandomStream) -> list:
     """[sum_i c_i |x|_[i]^q for samples i.i.d. standard normal n-vectors x,
@@ -74,31 +62,22 @@ def _sample_power_sums(pairs: list, n: int, samples: int,
 
 
 def _estimate_median(params: LorentzParams, samples: int, stream: RandomStream,
-                     power: float) -> EstimatorResult:
-    """Sample median of psi^power with the distribution-free 95% interval
-    between the order statistics of ranks floor(m/2 - h) + 1 and
-    ceil(m/2 + h) + 1, h = Z95 sqrt(m) / 2: it covers the true median with
-    probability P(floor(m/2 - h) + 1 <= Bin(m, 1/2) <= ceil(m/2 + h)), whatever the law."""
+                     power: float) -> float:
+    """Sample median of psi^power over samples draws of X."""
     if samples < 100:
         raise ValueError("samples must be at least 100")
     values = _sample_power_sums([(params.weight_values(), params.p)], params.n,
                                 samples, stream)[0] ** power
-    values.sort()
-    half = Z95 * math.sqrt(samples) / 2.0
-    return EstimatorResult(
-        point=float(np.median(values)),
-        ci_low=float(values[max(0, math.floor(samples / 2.0 - half))]),
-        ci_high=float(values[min(samples - 1, math.ceil(samples / 2.0 + half))]),
-        samples=samples)
+    return float(np.median(values))
 
 
-def estimate_median_norm(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
-    """Empirical median of |X|_{w,p} with an order-statistic 95% CI."""
+def estimate_median_norm(params: LorentzParams, samples: int, stream: RandomStream) -> float:
+    """Empirical median of |X|_{w,p}."""
     return _estimate_median(params, samples, stream, 1.0 / params.p)
 
 
-def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStream) -> EstimatorResult:
-    """Empirical median of psi(X) = sum_i w_i X_[i]^p with an order-statistic 95% CI."""
+def estimate_median_psi(params: LorentzParams, samples: int, stream: RandomStream) -> float:
+    """Empirical median of psi(X) = sum_i w_i X_[i]^p."""
     return _estimate_median(params, samples, stream, 1.0)
 
 
@@ -208,7 +187,7 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)
     if M is None:
-        M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0)).point
+        M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
     max_devs = _sup_deviations(params, k, trials, directions, stream, M,
                                matrix_factory)
     successes = int(np.sum(max_devs <= eps))
@@ -242,19 +221,18 @@ class CalibrationRecord:
 
 
 def _ratio_evaluator(bound_name: str):
-    """Registry of named two-sided bounds: (grid_point, stream) -> (true, shape)."""
+    """Registry of named two-sided estimates: (arity, evaluate), where
+    evaluate(grid_point, stream) -> (true, shape) for a point of arity values."""
     from . import analytic
 
     def power_log_sum(point, stream):
         a, q, n = point
-        true = analytic.power_log_sum_exact(a, q, int(n))
-        shape = analytic.power_log_sum_bounds(a, q, int(n)).shape_value
-        return true, shape
+        return analytic.power_log_sum_exact(a, q, int(n)), \
+            analytic.power_log_sum_shape(a, q, int(n))
 
     def power_integral(point, stream):
         a, T = point
-        return analytic.power_integral_exact(a, T), \
-            analytic.power_integral_bounds(a, T).shape_value
+        return analytic.power_integral_exact(a, T), analytic.power_integral_shape(a, T)
 
     def incomplete_gamma(sign):
         s = {"decay": -1.0, "growth": 1.0}[sign]
@@ -263,21 +241,20 @@ def _ratio_evaluator(bound_name: str):
             from scipy import integrate
             b, q = point
             true, _ = integrate.quad(lambda w: math.exp(s * w) * w ** q, 0.0, b)
-            return true, analytic.incomplete_gamma_bounds(b, q, sign).shape_value
+            return true, analytic.incomplete_gamma_shape(b, q, sign)
         return evaluate
 
     def median_psi(point, stream):
         r, p, n = point
         params = power_params(r, p, int(n))
-        est = estimate_median_psi(params, 4000, stream)
-        shape = analytic.median_psi_bounds(r, p, int(n)).shape_value
-        return est.point, shape
+        return estimate_median_psi(params, 4000, stream), \
+            analytic.median_psi_shape(r, p, int(n))
 
-    registry = {"power_log_sum": power_log_sum,
-                "power_integral": power_integral,
-                "incomplete_gamma_decay": incomplete_gamma("decay"),
-                "incomplete_gamma_growth": incomplete_gamma("growth"),
-                "median_psi": median_psi}
+    registry = {"power_log_sum": (3, power_log_sum),
+                "power_integral": (2, power_integral),
+                "incomplete_gamma_decay": (2, incomplete_gamma("decay")),
+                "incomplete_gamma_growth": (2, incomplete_gamma("growth")),
+                "median_psi": (3, median_psi)}
     if bound_name not in registry:
         raise ValueError(f"unknown two-sided bound {bound_name!r}; "
                          f"known: {sorted(registry)}")
@@ -299,7 +276,22 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     if not param_grid:
         raise ValueError("param_grid must be nonempty")
 
-    ev = _ratio_evaluator(bound_name)
+    arity, evaluate = _ratio_evaluator(bound_name)
+    for point in param_grid:
+        if len(point) != arity:
+            raise ValueError(f"grid_file point {list(point)}: {bound_name} "
+                             f"takes {arity} values")
+
+    def ev(point, stream):
+        try:
+            true, shape = evaluate(point, stream)
+            if math.isfinite(true) and math.isfinite(shape):
+                return true, shape
+        except OverflowError:
+            pass
+        raise ValueError(f"grid_file point {list(point)}: {bound_name} "
+                         f"does not evaluate to finite numbers")
+
     ratios = []
     for j, point in enumerate(param_grid):
         true, shape = ev(point, fit_stream.substream(j))
@@ -387,7 +379,7 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)
     k_cap = min(n, max(4, math.ceil(shape * (1.0 - 1e-9))))
-    M = estimate_median_norm(params, MEDIAN_SAMPLES, fit_stream.substream(10 ** 6)).point
+    M = estimate_median_norm(params, MEDIAN_SAMPLES, fit_stream.substream(10 ** 6))
     k_star, observed = _largest_successful_k(params, eps, trials, directions,
                                              CALIBRATE_THRESHOLD, fit_stream, M, k_cap)
     if k_star == 0:
@@ -453,7 +445,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     _check_counts(trials=trials, directions=directions)
     k_cap = min(n, math.ceil(4.0 * math.log(directions)))
     params = power_params(r, p, n)
-    M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(10 ** 6)).point
+    M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(10 ** 6))
 
     k_stars = []
     per_eps_observed = []

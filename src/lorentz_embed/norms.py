@@ -196,14 +196,16 @@ def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list) -> list:
 def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list:
     """[sum_i c_i Y_[i]^q for each column of Y, for each (c, q) in pairs],
     Y_[i] the non-increasing rearrangement of a column's absolute values;
-    rows past len(c) are left out. Y is X, or with D given it is the
-    F-ordered product (D.T @ X.T).T of the (n, k) matrix X and the (k, m)
-    matrix D, which may differ from X @ D in the last bit.
+    rows past len(c) are left out. Y is X, or with D given the images of
+    the (k, m) matrix D under the (n, k) matrix X.
 
     Each block of _block_bounds(n, m) is one task of _blocked_sums, filled
     with its columns as rows: X's, or the product D[:, block].T @ X.T, so no
-    (n, m) image is held. Each column's result is bitwise the one of an
-    unblocked call. X itself is never modified.
+    (n, m) image is held. The blocks depend on n and m only, so the results
+    never depend on the worker count. A block's product may differ from
+    X @ D in the last bit, and equals the rows of the whole product
+    D.T @ X.T only where OpenBLAS takes the same GEMM path for both: blocks
+    of 2 to 8 directions at n 300, k 80 do not. X itself is never modified.
     """
     if D is None:
         n, m = X.shape
@@ -240,8 +242,10 @@ def lorentz_norm_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
 def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
                         directions: np.ndarray) -> np.ndarray:
     """Lorentz norm of each column of G @ directions, for an (n, k) matrix G
-    and a (k, m) matrix of directions: bitwise lorentz_norm_columns(params,
-    (directions.T @ G.T).T), with the images formed block by block."""
+    and a (k, m) matrix of directions, with the images formed block by block
+    as in _power_sums: the same for any worker count, and bitwise
+    lorentz_norm_columns(params, (directions.T @ G.T).T) only where OpenBLAS
+    forms each block's product as the rows of the whole one."""
     G = _check_columns(params.n, G)
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != G.shape[1]:

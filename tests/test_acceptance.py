@@ -16,10 +16,10 @@ import pytest
 from scipy import integrate
 
 from lorentz_embed import (RandomStream, calibrate_embedding_dimension,
-                           estimate_median_psi, incomplete_gamma_bounds,
+                           estimate_median_psi, incomplete_gamma_shape,
                            lipschitz_constant, lipschitz_maximizer,
-                           lorentz_norm, median_psi_bounds, power_integral_bounds,
-                           power_log_sum_bounds, power_params, psi,
+                           lorentz_norm, median_psi_shape, power_integral_shape,
+                           power_log_sum_shape, power_params, psi,
                            psi_gradient_norm, scaling_probe,
                            uniform_orderstat_upper_all, verify_embedding,
                            verify_orderorder)
@@ -61,7 +61,7 @@ class TestCriterion1AnalyticBoundRatios:
             ratios = []
             for b in np.geomspace(0.4, 40.0, 40):
                 true, _ = integrate.quad(lambda w: math.exp(-w) * w ** q, 0.0, b)
-                ratios.append(true / incomplete_gamma_bounds(b, q, "decay").shape_value)
+                ratios.append(true / incomplete_gamma_shape(b, q, "decay"))
                 count += 1
             # constants enter with exponent 1 + q; compare on the base scale
             slices.append(_interval(ratios, 1.0 / (1.0 + q)))
@@ -78,7 +78,7 @@ class TestCriterion1AnalyticBoundRatios:
             ratios = []
             for b in np.geomspace(0.5, 50.0, 40):
                 true, _ = integrate.quad(lambda w: math.exp(w) * w ** q, 0.0, b)
-                ratios.append(true / incomplete_gamma_bounds(b, q, "growth").shape_value)
+                ratios.append(true / incomplete_gamma_shape(b, q, "growth"))
                 count += 1
             slices.append(_interval(ratios, 1.0))
         assert count >= 200
@@ -100,7 +100,7 @@ class TestCriterion1AnalyticBoundRatios:
                 logs[-1] = 0.0
                 powq = np.ones_like(logs) if q == 0.0 else logs ** q
                 true = float(np.sum(i ** (-a) * powq))
-                ratios.append(true / power_log_sum_bounds(a, q, n).shape_value)
+                ratios.append(true / power_log_sum_shape(a, q, n))
                 count += 1
             exponent = 1.0 / (1.0 + q) if a < 1.0 else 1.0
             slices.append(_interval(ratios, exponent))
@@ -122,7 +122,7 @@ class TestCriterion1AnalyticBoundRatios:
                     true = math.log(T)
                 else:
                     true = (T ** (1.0 - a) - 1.0) / (1.0 - a)
-                ratios.append(true / power_integral_bounds(a, float(T)).shape_value)
+                ratios.append(true / power_integral_shape(a, float(T)))
                 count += 1
             slices.append(_interval(ratios, 1.0))
         assert count >= 200
@@ -220,10 +220,9 @@ class TestCriterion6MedianShapes:
             for p in (1.0, 2.0, 3.0):
                 ratios = []
                 for n in (10 ** 2, 10 ** 3, 10 ** 4):
-                    est = estimate_median_psi(power_params(r, p, n), 10 ** 4,
-                                              RandomStream(606, next(counter)))
-                    shape = median_psi_bounds(r, p, n).shape_value
-                    ratios.append(est.point / shape)
+                    M = estimate_median_psi(power_params(r, p, n), 10 ** 4,
+                                            RandomStream(606, next(counter)))
+                    ratios.append(M / median_psi_shape(r, p, n))
                 drift = max(ratios) / min(ratios)
                 worst = max(worst, drift)
                 assert drift < 2.0

@@ -11,10 +11,9 @@ import pytest
 
 import lorentz_embed
 from lorentz_embed import cli, norms
-from lorentz_embed.analytic import TwoSidedBound
 from lorentz_embed.cli import UsageError, _build_parser, _merge_config, main
+from lorentz_embed.constants import KNOWN_CONSTANTS
 from lorentz_embed.embedding import DistortionReport
-from lorentz_embed.montecarlo import EstimatorResult
 from lorentz_embed.streams import RandomStream
 
 
@@ -219,10 +218,8 @@ class TestExitCodes:
         assert "RuntimeError: quantile exceeds reported maximum" in err
 
     @pytest.mark.parametrize("build", [
-        lambda: EstimatorResult(2.0, 0.0, 1.0, 100),
         lambda: DistortionReport(1.0, 0.1, {0.5: 0.2}, 10, "grid2d"),
-        lambda: TwoSidedBound(2.0, 1.0, 1.0, ()),
-    ], ids=["EstimatorResult", "DistortionReport", "TwoSidedBound"])
+    ], ids=["DistortionReport"])
     def test_invariants_raise_runtime_error(self, build):
         with pytest.raises(RuntimeError):
             build()
@@ -294,6 +291,24 @@ class TestLedgerFile:
         assert report2["result"]["S"] == 2.0 * report["result"]["S"]
         assert report2["result"]["implication_violations"] == 0
 
+    @pytest.mark.parametrize("name", KNOWN_CONSTANTS)
+    def test_every_known_constant_moves_a_result(self, name, tmp_path, capsys):
+        # a constant that no command's result reads would only be echoed
+        bound = ["bound", "--p", "3", "--n", "10000", "--eps", "0.1", "--r"]
+        argv = {"c2_ellinfty": bound + ["1.5"],
+                "c_ellinfty_gate": bound + ["1.5"],
+                "C_sharp": ["verify", "--kind", "orderorder", "--case", "II",
+                            "--r", "0.3", "--p", "1.2", "--n", "200", "--t", "3",
+                            "--seed", "6", "--trials", "200"]}.get(name, bound + ["0"])
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({name: 5}))
+        _, out, _ = run(argv, capsys)
+        code, out2, _ = run(argv + ["--ledger-file", str(ledger)], capsys)
+        assert code == 0
+        report, report2 = json.loads(out), json.loads(out2)
+        assert report2["ledger"][name] == 5
+        assert report2["result"] != report["result"]
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--r", "0.3", "--p", "1.4"],
         ["simulate", "--r", "0", "--p", "2", "--n", "50", "--k", "2", "--seed", "1"],
@@ -329,7 +344,12 @@ class TestLedgerFile:
         ({"C_gauss": 5}, "unknown constant name: 'C_gauss'"),
         ({"C_order": 1}, "unknown constant name: 'C_order'"),
         ({"c_order": 1}, "unknown constant name: 'c_order'"),
-    ], ids=["list", "string", "null", "bool", "unread-constant", "C_order", "c_order"])
+        ({"c_bound": 5}, "unknown constant name: 'c_bound'"),
+        ({"C_bound": 7}, "unknown constant name: 'C_bound'"),
+        ({"c_median_lower": 0.1}, "unknown constant name: 'c_median_lower'"),
+        ({"C_median_upper": 9}, "unknown constant name: 'C_median_upper'"),
+    ], ids=["list", "string", "null", "bool", "unread-constant", "C_order", "c_order",
+            "c_bound", "C_bound", "c_median_lower", "C_median_upper"])
     def test_malformed_file_names_the_field(self, content, field, tmp_path, capsys):
         ledger = tmp_path / "ledger.json"
         ledger.write_text(json.dumps(content))
@@ -376,6 +396,22 @@ class TestCalibrateAndProbe:
         assert code == 1
         assert out == ""
         assert "grid_file" in err
+
+    @pytest.mark.parametrize("bound_name, point, message", [
+        ("incomplete_gamma_growth", [1000, 1], "does not evaluate to finite numbers"),
+        ("power_log_sum", [0, 2], "power_log_sum takes 3 values"),
+    ], ids=["overflow", "arity"])
+    def test_grid_point_the_oracle_cannot_evaluate(self, bound_name, point, message,
+                                                    tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([point]))
+        code, out, err = run(["calibrate", "--bound-name", bound_name,
+                              "--target", "two_sided_ratio",
+                              "--grid-file", str(grid), "--seed", "1",
+                              "--validation-seed", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"grid_file point {point}: " in err and message in err
 
     def test_config_eps_grid_must_be_a_list(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -131,7 +131,7 @@ class TestMeasureDistortion:
     def test_grid_vs_random_sphere_agree(self):
         n, k = 200, 2
         params = power_params(0.0, 1.0, n)
-        M = estimate_median_norm(params, 10 ** 4, RandomStream(54)).point
+        M = estimate_median_norm(params, 10 ** 4, RandomStream(54))
         G = sample_gaussian_matrix(n, k, RandomStream(55))
         grid = measure_distortion(G, params, M, make_directions(2, 10 ** 4, "grid2d"))
         rand = measure_distortion(

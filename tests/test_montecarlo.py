@@ -54,41 +54,37 @@ class TestWilson:
 class TestMedianEstimators:
     def test_half_normal_median(self):
         params = power_params(0.0, 2.0, 1)
-        res = estimate_median_norm(params, 4000, RandomStream(71))
+        M = estimate_median_norm(params, 4000, RandomStream(71))
         target = 0.6744897501960817  # Phi^{-1}(3/4)
-        assert res.ci_low <= target <= res.ci_high
-        assert res.point == pytest.approx(target, abs=0.05)
+        assert M == pytest.approx(target, abs=0.05)
 
     def test_chi_100_median(self):
+        # the sample median's sd is about 0.009 at 10^4 samples
         params = power_params(0.0, 2.0, 100)
-        res = estimate_median_norm(params, 10 ** 4, RandomStream(72))
-        assert res.ci_low <= CHI100_MEDIAN <= res.ci_high
+        M = estimate_median_norm(params, 10 ** 4, RandomStream(72))
+        assert M == pytest.approx(CHI100_MEDIAN, abs=0.03)
 
     def test_determinism(self):
         params = power_params(0.5, 1.5, 20)
         a = estimate_median_norm(params, 500, RandomStream(73))
         b = estimate_median_norm(params, 500, RandomStream(73))
-        assert a.point == b.point and a.ci_low == b.ci_low
+        assert a == b
 
     def test_psi_is_norm_power(self):
         # odd sample count: both medians are the same single order statistic
         params = power_params(0.0, 2.0, 50)
         norm = estimate_median_norm(params, 1001, RandomStream(74))
         psi = estimate_median_psi(params, 1001, RandomStream(74))
-        assert psi.point == pytest.approx(norm.point ** 2, rel=1e-12)
+        assert psi == pytest.approx(norm ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("samples", [1001, 10 ** 4])
-    def test_interval_ends_are_order_statistics(self, samples):
+    def test_median_of_the_drawn_chunks(self, samples):
         params = power_params(0.3, 1.5, 40)
-        res = estimate_median_norm(params, samples, RandomStream(75))
-        values = np.sort(np.concatenate([
+        M = estimate_median_norm(params, samples, RandomStream(75))
+        values = np.concatenate([
             lorentz_norm_columns(params, Z.T)
-            for Z in drawn_chunks(params.n, samples, RandomStream(75))]))
-        half = montecarlo.Z95 * math.sqrt(samples) / 2.0
-        assert res.point == float(np.median(values))
-        assert res.ci_low == values[math.floor(samples / 2 - half)]
-        assert res.ci_high == values[math.ceil(samples / 2 + half)]
-        assert res.samples == samples
+            for Z in drawn_chunks(params.n, samples, RandomStream(75))])
+        assert M == float(np.median(values))
 
     def test_draws_only_the_sample_chunks(self, monkeypatch):
         built = []
@@ -101,14 +97,6 @@ class TestMedianEstimators:
         monkeypatch.setattr(RandomStream, "generator", counted)
         estimate_median_norm(power_params(0.0, 2.0, 10), 10 ** 4, RandomStream(76))
         assert len(built) == math.ceil(10 ** 4 / montecarlo.TRIAL_CHUNK) == 50
-
-    def test_interval_coverage_over_seeds(self):
-        params = power_params(0.0, 2.0, 100)
-        covered = 0
-        for seed in range(200):
-            res = estimate_median_norm(params, 2000, RandomStream(seed))
-            covered += res.ci_low <= CHI100_MEDIAN <= res.ci_high
-        assert 0.92 <= covered / 200 <= 0.98
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
