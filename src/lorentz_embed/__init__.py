@@ -5,10 +5,9 @@ verification of the almost-isometry and concentration events."""
 from .constants import DEFAULT_LEDGER, KNOWN_CONSTANTS, ConstantLedger
 from .params import LorentzParams, WeightSequence, power_params
 from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
-                    lorentz_norm_columns, lorentz_norm_images, psi, psi_columns,
-                    psi_gradient_norm)
-from .sharp import (beta_weights, grad_functional, make_sharp_spec,
-                    sharp_norm, sharp_norm_columns, SharpNormSpec)
+                    lorentz_norm_images, psi, psi_gradient_norm)
+from .sharp import (beta_weights, grad_functional, make_sharp_spec, sharp_norm,
+                    SharpNormSpec)
 from .analytic import (incomplete_gamma_shape, median_norm_shape,
                        median_psi_shape, power_integral_shape,
                        power_log_sum_shape, uniform_orderstat_upper_all, xi1,

@@ -3,7 +3,7 @@ distortion measurement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def test_directions(k: int, count: int, mode: str, stream: RandomStream | None =
 class DistortionReport:
     M_used: float
     max_rel_dev: float
-    quantiles: dict  # probability level -> deviation quantile
+    quantiles: dict  # probability level, as a string -> deviation quantile
     direction_count: int
     test_mode: str
 
@@ -57,14 +57,7 @@ class DistortionReport:
         if any(q > self.max_rel_dev + 1e-15 for q in self.quantiles.values()):
             raise RuntimeError("quantile exceeds reported maximum")
 
-    def to_dict(self) -> dict:
-        return {
-            "M_used": self.M_used,
-            "max_rel_dev": self.max_rel_dev,
-            "quantiles": {str(k): v for k, v in self.quantiles.items()},
-            "direction_count": self.direction_count,
-            "test_mode": self.test_mode,
-        }
+    to_dict = asdict
 
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
@@ -83,7 +76,7 @@ def measure_distortion(
         raise ValueError("M must be positive")
     norms = lorentz_norm_images(params, G, directions)
     devs = np.abs(norms / M - 1.0)
-    quantiles = {lv: float(np.quantile(devs, lv)) for lv in QUANTILE_LEVELS}
+    quantiles = {str(lv): float(np.quantile(devs, lv)) for lv in QUANTILE_LEVELS}
     return DistortionReport(
         M_used=M,
         max_rel_dev=float(np.max(devs)),

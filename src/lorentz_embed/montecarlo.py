@@ -408,22 +408,13 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
 class ScalingProbeResult:
     eps_grid: tuple
     k_stars: tuple
-    slope: float
-    slope_ci_low: float
-    slope_ci_high: float
+    slope: float | None  # None where undefined; `inconclusive` says why
+    slope_ci_low: float | None
+    slope_ci_high: float | None
     inconclusive: bool
     saturated: bool = False
 
-    def to_dict(self) -> dict:
-        def finite_or_none(v):  # JSON has no NaN; `inconclusive` says why
-            return None if math.isnan(v) else v
-
-        return {"eps_grid": list(self.eps_grid), "k_stars": list(self.k_stars),
-                "slope": finite_or_none(self.slope),
-                "slope_ci_low": finite_or_none(self.slope_ci_low),
-                "slope_ci_high": finite_or_none(self.slope_ci_high),
-                "inconclusive": self.inconclusive,
-                "saturated": self.saturated}
+    to_dict = asdict
 
 
 def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
@@ -464,7 +455,7 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
                 xs.append(math.log(eps))
                 ys.append(math.log(k))
         if len(set(ys)) < 2:  # also when fewer than two k* reach 1
-            return math.nan
+            return None
         return float(np.polyfit(xs, ys, 1)[0])
 
     slope = fit_slope(k_stars)
@@ -480,12 +471,11 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
                     best = max(best, k)
             ks_b.append(best)
         s = fit_slope(ks_b)
-        if not math.isnan(s):
+        if s is not None:
             boot.append(s)
-    if len(boot) < 100 or math.isnan(slope):
-        return ScalingProbeResult(eps_grid, tuple(k_stars), slope, math.nan,
-                                  math.nan, inconclusive=True,
-                                  saturated=saturated)
+    if len(boot) < 100 or slope is None:
+        return ScalingProbeResult(eps_grid, tuple(k_stars), slope, None, None,
+                                  inconclusive=True, saturated=saturated)
     lo = float(np.quantile(boot, 0.025))
     hi = float(np.quantile(boot, 0.975))
     return ScalingProbeResult(eps_grid, tuple(k_stars), slope, lo, hi,

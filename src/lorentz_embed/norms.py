@@ -43,27 +43,20 @@ class _WorkerBuffers(threading.local):
 _buffers = _WorkerBuffers()
 
 
-def _check_vector(x) -> np.ndarray:
+def _checked(n: int, x, ndims: tuple = (1, 2)) -> np.ndarray:
+    """x as a float array, after checking that it is a nonempty n-vector or
+    (n, m) matrix, as ndims allows, with finite entries."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a nonempty 1-d real vector")
-    if np.any(np.isnan(x)):
-        raise ValueError("input contains NaN")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
+    if x.ndim not in ndims or x.size == 0:
+        kind = " or ".join(("vector", "matrix")[d - 1] for d in ndims)
+        raise ValueError(f"input must be a nonempty {kind}, got shape {x.shape}")
+    if x.shape[0] != n:
+        raise ValueError(f"dimension mismatch: len(x)={x.size}, n={n}" if x.ndim == 1
+                         else f"expected an ({n}, m) matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains NaN" if np.isnan(x).any()
+                         else "input contains non-finite entries")
     return x
-
-
-def _check_dim(params: LorentzParams, x: np.ndarray):
-    if x.size != params.n:
-        raise ValueError(f"dimension mismatch: len(x)={x.size}, params.n={params.n}")
-
-
-def _check_columns(n: int, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ValueError(f"expected an ({n}, m) matrix, got shape {X.shape}")
-    return X
 
 
 def _power_in_place(A: np.ndarray, q: float):
@@ -221,22 +214,13 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list
     return _blocked_sums(pairs, n, m, fill, _block_bounds(n, m))
 
 
-def _power_sum(coeffs: np.ndarray, X: np.ndarray, q: float) -> np.ndarray:
-    """_power_sums for the one pair (coeffs, q) and the columns of X."""
-    return _power_sums([(coeffs, q)], X)[0]
-
-
-def lorentz_norm(params: LorentzParams, x) -> float:
-    """(sum_i w_i x_[i]^p)^(1/p)."""
-    x = _check_vector(x)
-    _check_dim(params, x)
-    return float(lorentz_norm_columns(params, x[:, None])[0])
-
-
-def lorentz_norm_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
-    """Lorentz norm of each column of an (n, m) matrix."""
-    X = _check_columns(params.n, X)
-    return _power_sum(params.weight_values(), X, params.p) ** (1.0 / params.p)
+def lorentz_norm(params: LorentzParams, x):
+    """(sum_i w_i x_[i]^p)^(1/p) of an n-vector (a float), or of each column
+    of an (n, m) matrix (an array)."""
+    x = _checked(params.n, x)
+    norms = _power_sums([(params.weight_values(), params.p)],
+                        x.reshape(params.n, -1))[0] ** (1.0 / params.p)
+    return float(norms[0]) if x.ndim == 1 else norms
 
 
 def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
@@ -244,28 +228,24 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
     """Lorentz norm of each column of G @ directions, for an (n, k) matrix G
     and a (k, m) matrix of directions, with the images formed block by block
     as in _power_sums: the same for any worker count, and bitwise
-    lorentz_norm_columns(params, (directions.T @ G.T).T) only where OpenBLAS
-    forms each block's product as the rows of the whole one."""
-    G = _check_columns(params.n, G)
+    lorentz_norm(params, (directions.T @ G.T).T) only where OpenBLAS forms
+    each block's product as the rows of the whole one."""
+    G = _checked(params.n, G, (2,))
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[0] != G.shape[1]:
         raise ValueError(f"expected a ({G.shape[1]}, m) direction matrix, "
                          f"got shape {directions.shape}")
+    directions = _checked(G.shape[1], directions)
     power = _power_sums([(params.weight_values(), params.p)], G, directions)[0]
     return power ** (1.0 / params.p)
 
 
-def psi(params: LorentzParams, x) -> float:
-    """The potential sum_i w_i x_[i]^p = lorentz_norm(params, x)^p."""
-    x = _check_vector(x)
-    _check_dim(params, x)
-    return float(psi_columns(params, x[:, None])[0])
-
-
-def psi_columns(params: LorentzParams, X: np.ndarray) -> np.ndarray:
-    """psi of each column of an (n, m) matrix."""
-    X = _check_columns(params.n, X)
-    return _power_sum(params.weight_values(), X, params.p)
+def psi(params: LorentzParams, x):
+    """The potential sum_i w_i x_[i]^p = lorentz_norm(params, x)^p of an
+    n-vector (a float), or of each column of an (n, m) matrix (an array)."""
+    x = _checked(params.n, x)
+    sums = _power_sums([(params.weight_values(), params.p)], x.reshape(params.n, -1))[0]
+    return float(sums[0]) if x.ndim == 1 else sums
 
 
 @dataclass(frozen=True)
@@ -281,8 +261,7 @@ def psi_gradient_norm(params: LorentzParams, x) -> GradientNormResult:
     values.  At ties or zeros the formula is still evaluated but the result is
     flagged as a non-smooth point.
     """
-    x = _check_vector(x)
-    _check_dim(params, x)
+    x = _checked(params.n, x, (1,))
     w = params.weight_values()
     ax = np.abs(x)
     xs = np.sort(ax)[::-1]

@@ -283,7 +283,7 @@ class BoundReport:
     """All applicable dimension bounds at one (r, p, n, eps), shape and ledger form."""
 
     case: RegimeCase
-    d_milman: float
+    d: float
     E: float
     F: float
     d_prime: float | None
@@ -293,19 +293,7 @@ class BoundReport:
     shape_values: dict = field(default_factory=dict)
     ledger_values: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case.to_dict(),
-            "d": self.d_milman,
-            "E": self.E,
-            "F": self.F,
-            "d_prime": self.d_prime,
-            "d_general": self.d_general,
-            "k_max": self.k_max,
-            "asymptotics_not_reached": self.asymptotics_not_reached,
-            "shape_values": self.shape_values,
-            "ledger_values": self.ledger_values,
-        }
+    to_dict = asdict
 
 
 def compute_bound_report(
@@ -351,7 +339,7 @@ def compute_bound_report(
     best = min(applicable)
     return BoundReport(
         case=case,
-        d_milman=scaled["d"],
+        d=scaled["d"],
         E=scaled["E"],
         F=scaled["F"],
         d_prime=scaled["d_prime"],

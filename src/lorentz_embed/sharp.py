@@ -17,19 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .norms import _check_columns, _check_vector, _power_sums
+from .norms import _checked, _power_sums
 from .regimes import _on_iv_boundary, classify_case
 
 
-def grad_functional(r: float, p: float, x) -> float:
-    """sum_i i^(-2r) x_[i]^(2(p-1)), the squared-gradient sum (up to p^2)."""
-    x = _check_vector(x)
-    return float(grad_functional_columns(r, p, x[:, None])[0])
-
-
-def grad_functional_columns(r: float, p: float, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return _power_sums([_grad_pair(r, p, X.shape[0])], X)[0]
+def grad_functional(r: float, p: float, x):
+    """sum_i i^(-2r) x_[i]^(2(p-1)), the squared-gradient sum (up to p^2), of
+    an n-vector (a float) or of each column of an (n, m) matrix (an array),
+    with n taken from the rows of x."""
+    x = _checked(len(x) if np.ndim(x) else 0, x)
+    sums = _power_sums([_grad_pair(r, p, len(x))], x.reshape(len(x), -1))[0]
+    return float(sums[0]) if x.ndim == 1 else sums
 
 
 def _grad_pair(r: float, p: float, n: int) -> tuple:
@@ -162,14 +160,10 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
     raise ValueError(f"unknown case {case!r}")
 
 
-def sharp_norm(spec: SharpNormSpec, x) -> float:
-    """Evaluate the case's auxiliary norm at x."""
-    x = _check_vector(x)
-    if x.size != spec.n:
-        raise ValueError(f"dimension mismatch: len(x)={x.size}, spec.n={spec.n}")
-    return float(sharp_norm_columns(spec, x[:, None])[0])
-
-
-def sharp_norm_columns(spec: SharpNormSpec, X: np.ndarray) -> np.ndarray:
-    X = _check_columns(spec.n, X)
-    return _power_sums([(spec.coefficients, spec.exponent)], X)[0] ** (1.0 / spec.exponent)
+def sharp_norm(spec: SharpNormSpec, x):
+    """The case's auxiliary norm of an n-vector (a float), or of each column
+    of an (n, m) matrix (an array)."""
+    x = _checked(spec.n, x)
+    norms = _power_sums([(spec.coefficients, spec.exponent)],
+                        x.reshape(spec.n, -1))[0] ** (1.0 / spec.exponent)
+    return float(norms[0]) if x.ndim == 1 else norms

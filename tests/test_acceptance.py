@@ -25,7 +25,6 @@ from lorentz_embed import (RandomStream, calibrate_embedding_dimension,
                            verify_orderorder)
 from lorentz_embed.cli import main as cli_main
 from lorentz_embed.constants import DEFAULT_LEDGER
-from lorentz_embed.norms import lorentz_norm_columns
 
 REPORT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "reports")
@@ -147,7 +146,7 @@ class TestCriterion2LipschitzExactness:
             assert lorentz_norm(params, theta) == pytest.approx(b, rel=1e-12)
             U = rng.standard_normal((n, vectors_per_config))
             U /= np.linalg.norm(U, axis=0)
-            norms = lorentz_norm_columns(params, U)
+            norms = lorentz_norm(params, U)
             assert np.all(norms <= b * (1.0 + 1e-12))
             total += vectors_per_config
         assert total == 10 ** 5

@@ -9,7 +9,7 @@ import pytest
 
 from lorentz_embed import (RandomStream, calibrate,
                            calibrate_embedding_dimension, estimate_median_norm,
-                           estimate_median_psi, lorentz_norm_columns,
+                           estimate_median_psi, lorentz_norm,
                            power_params, sample_gaussian_matrix, scaling_probe,
                            verify_embedding, verify_orderorder,
                            wilson_interval)
@@ -17,8 +17,7 @@ from lorentz_embed import (RandomStream, calibrate,
 from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo, norms
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
-from lorentz_embed.sharp import (grad_functional_columns, make_sharp_spec,
-                                 sharp_norm_columns)
+from lorentz_embed.sharp import grad_functional, make_sharp_spec, sharp_norm
 from oracle import identity_injection, weighted_power_sum
 
 # chi distribution with 100 degrees of freedom: median via the regularized
@@ -82,7 +81,7 @@ class TestMedianEstimators:
         params = power_params(0.3, 1.5, 40)
         M = estimate_median_norm(params, samples, RandomStream(75))
         values = np.concatenate([
-            lorentz_norm_columns(params, Z.T)
+            lorentz_norm(params, Z.T)
             for Z in drawn_chunks(params.n, samples, RandomStream(75))])
         assert M == float(np.median(values))
 
@@ -177,7 +176,7 @@ class TestVerifyOrderOrder:
 
     def test_case_I_shares_the_gradient_sum(self):
         # case I takes its norm from the gradient sum; a loop over the same
-        # chunks that evaluates the two column functions apart must agree
+        # chunks that evaluates the two norm functions apart must agree
         r, p, n, t, trials = 0.3, 2.5, 60, 0.5, 450
         res = verify_orderorder("I", r, p, n, t, trials, DEFAULT_LEDGER,
                                 RandomStream(95))
@@ -186,9 +185,9 @@ class TestVerifyOrderOrder:
         R = spec.K * S ** (2.0 * (p - 1.0))
         holds = violations = 0
         for Z in drawn_chunks(n, trials, RandomStream(95)):
-            within = sharp_norm_columns(spec, Z.T) <= S
+            within = sharp_norm(spec, Z.T) <= S
             holds += int(np.sum(within))
-            violations += int(np.sum(within & (grad_functional_columns(r, p, Z.T) > R)))
+            violations += int(np.sum(within & (grad_functional(r, p, Z.T) > R)))
         assert 0 < holds < trials
         assert (res.prob_S_holds, res.implication_violations, res.S, res.R) == \
             (holds / trials, violations, S, R)
@@ -201,16 +200,16 @@ class TestVerifyOrderOrder:
                              ids=lambda pt: pt[0])
     def test_one_sort_per_sample_in_every_case(self, point, monkeypatch):
         # the two sums share one sort of each sample and stay bitwise those
-        # of the two column functions called apart
+        # of the two norm functions called apart
         case, r, p, n, t = point
         trials = 450
         spec = make_sharp_spec(case, r, p, n, t)
         R = spec.K * spec.S ** (2.0 * (p - 1.0))
         holds = violations = 0
         for Z in drawn_chunks(n, trials, RandomStream(98)):
-            within = sharp_norm_columns(spec, Z.T) <= spec.S
+            within = sharp_norm(spec, Z.T) <= spec.S
             holds += int(np.sum(within))
-            violations += int(np.sum(within & (grad_functional_columns(r, p, Z.T) > R)))
+            violations += int(np.sum(within & (grad_functional(r, p, Z.T) > R)))
         sorted_samples = []
 
         def counting(pairs, flat, A, outs, rows):
@@ -305,7 +304,7 @@ class TestVerifyEmbedding:
         dirs = make_directions(k, directions, "random_sphere", stream.substream(1))
         for trial, dev in enumerate(res.max_devs):
             G = sample_gaussian_matrix(params.n, k, stream.substream(2 + trial))
-            norms = lorentz_norm_columns(params, G @ dirs)
+            norms = lorentz_norm(params, G @ dirs)
             assert dev == pytest.approx(np.max(np.abs(norms / M - 1.0)), rel=1e-12)
 
     def test_no_whole_image_is_held(self):

@@ -9,17 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lorentz_embed import (LorentzParams, WeightSequence, lipschitz_constant,
-                           lipschitz_maximizer, lorentz_norm,
-                           lorentz_norm_columns, lorentz_norm_images,
-                           power_params, psi, psi_columns, psi_gradient_norm)
+from lorentz_embed import (LorentzParams, WeightSequence, grad_functional,
+                           lipschitz_constant, lipschitz_maximizer,
+                           lorentz_norm, lorentz_norm_images, make_sharp_spec,
+                           power_params, psi, psi_gradient_norm, sharp_norm)
 from lorentz_embed import norms
-from lorentz_embed.norms import _power_sum, _power_sums
+from lorentz_embed.norms import _power_sums
 from oracle import weighted_power_sum
 
 finite_vectors = hnp.arrays(
     np.float64, st.integers(1, 12),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+PARAMS_3 = power_params(0.3, 2.0, 3)
+# each norm of a 3-vector, or of the columns of a (3, m) matrix
+NORMS = {"lorentz_norm": lambda x: lorentz_norm(PARAMS_3, x),
+         "psi": lambda x: psi(PARAMS_3, x),
+         "sharp_norm": lambda x: sharp_norm(make_sharp_spec("I", 0.3, 2.0, 3), x),
+         "grad_functional": lambda x: grad_functional(0.3, 2.0, x)}
+
+
+def poisoned(shape, bad):
+    """Ones of the given shape with bad as the last entry."""
+    x = np.ones(shape)
+    x.flat[-1] = bad
+    return x
 
 
 def random_params(rng):
@@ -76,9 +91,23 @@ class TestLorentzNorm:
         with pytest.raises(ValueError):
             lorentz_norm(power_params(0.0, 2.0, 3), [1.0, 2.0])
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            lorentz_norm(power_params(0.0, 2.0, 2), [1.0, float("nan")])
+    @pytest.mark.parametrize("call, x, message", [
+        pytest.param(NORMS[name], poisoned(shape, bad), message,
+                     id=f"{name}-{len(shape)}d-{bad}")
+        for name in NORMS for shape in [(3,), (3, 2)]
+        for bad, message in [(math.nan, "NaN"), (math.inf, "non-finite"),
+                             (-math.inf, "non-finite")]
+    ] + [
+        pytest.param(lambda G: lorentz_norm_images(PARAMS_3, G, np.ones((2, 4))),
+                     poisoned((3, 2), math.nan), "NaN", id="images-G-nan"),
+        pytest.param(lambda D: lorentz_norm_images(PARAMS_3, np.ones((3, 2)), D),
+                     poisoned((2, 4), math.nan), "NaN", id="images-directions-nan"),
+        pytest.param(NORMS["grad_functional"], np.ones((3, 2, 2)),
+                     "nonempty vector or matrix", id="grad_functional-3d"),
+    ])
+    def test_rejects_nan(self, call, x, message):
+        with pytest.raises(ValueError, match=message):
+            call(x)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -88,7 +117,7 @@ class TestLorentzNorm:
         params = power_params(0.7, 1.3, 15)
         w = params.weight_values()
         X = rng.standard_normal((15, 9))
-        cols = lorentz_norm_columns(params, X)
+        cols = lorentz_norm(params, X)
         for j in range(9):
             expected = weighted_power_sum(w, X[:, j], params.p) ** (1.0 / params.p)
             assert cols[j] == pytest.approx(expected, rel=1e-12)
@@ -99,7 +128,7 @@ class TestLorentzNorm:
         params = power_params(0.0, 1.7, 25)
         w = params.weight_values()
         X = rng.standard_normal((25, 7))
-        cols = lorentz_norm_columns(params, X)
+        cols = lorentz_norm(params, X)
         for j in range(7):
             expected = weighted_power_sum(w, X[:, j], params.p) ** (1.0 / params.p)
             assert cols[j] == pytest.approx(expected, rel=1e-12)
@@ -159,7 +188,7 @@ class TestPsi:
         params = power_params(0.4, 2.5, 10)
         w = params.weight_values()
         X = rng.standard_normal((10, 5))
-        cols = psi_columns(params, X)
+        cols = psi(params, X)
         for j in range(5):
             expected = weighted_power_sum(w, X[:, j], params.p)
             assert cols[j] == pytest.approx(expected, rel=1e-12)
@@ -202,7 +231,7 @@ class TestPowerSumKernel:
     def test_matches_naive_oracle(self, case):
         coeffs, X, q = case
         before = X.copy()
-        got = _power_sum(coeffs, X, q)
+        got = _power_sums([(coeffs, q)], X)[0]
         assert np.array_equal(X, before)  # the kernel works on its own buffer
         for j in range(X.shape[1]):
             assert got[j] == pytest.approx(weighted_power_sum(coeffs, X[:, j], q),
@@ -218,20 +247,20 @@ class TestPowerSumKernel:
                   "sorted": np.arange(1, n + 1.0) ** -0.3,
                   "truncated": np.arange(1, n // 4 + 1.0) ** -0.6}[kind]
         monkeypatch.setattr(norms, "BLOCK_ENTRIES", 1)  # blocks 2 or 3 wide
-        blocked = _power_sum(coeffs, X, 1.5)
+        blocked = _power_sums([(coeffs, 1.5)], X)[0]
         monkeypatch.setattr(norms, "BLOCK_ENTRIES", n * m)  # one block
-        assert np.array_equal(blocked, _power_sum(coeffs, X, 1.5))
+        assert np.array_equal(blocked, _power_sums([(coeffs, 1.5)], X)[0])
 
     def test_concurrent_callers_get_their_own_results(self, rng, monkeypatch):
         monkeypatch.setattr(norms, "BLOCK_ENTRIES", 2 * 50)
         coeffs = np.arange(1, 51.0) ** -0.5
         inputs = [rng.standard_normal((50, 301)) for _ in range(2)]
-        expected = [_power_sum(coeffs, X, 1.5) for X in inputs]
+        expected = [_power_sums([(coeffs, 1.5)], X)[0] for X in inputs]
         start = threading.Barrier(2)
 
         def call(X):
             start.wait()
-            return [_power_sum(coeffs, X, 1.5) for _ in range(20)]
+            return [_power_sums([(coeffs, 1.5)], X)[0] for _ in range(20)]
 
         with concurrent.futures.ThreadPoolExecutor(2) as callers:
             results = list(callers.map(call, inputs))
@@ -261,7 +290,7 @@ class TestThreeHalvesPower:
         coeffs = {"flat": np.full(n, 0.7),
                   "sorted": np.arange(1, n + 1.0) ** -0.3,
                   "truncated": np.arange(1, n // 4 + 1.0) ** -0.6}[kind]
-        assert np.array_equal(_power_sum(coeffs, X, 1.5),
+        assert np.array_equal(_power_sums([(coeffs, 1.5)], X)[0],
                               three_halves_reference(coeffs, X))
 
     def test_within_rounding_of_np_power(self, rng):
@@ -283,9 +312,9 @@ class TestThreeHalvesPower:
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(4) as callers:
-                futures = [callers.submit(lambda c=c: [_power_sum(*c, 1.5)
-                                                       for _ in range(30)])
-                           for c in cases]
+                futures = [callers.submit(lambda c=c, X=X: [_power_sums([(c, 1.5)], X)[0]
+                                                            for _ in range(30)])
+                           for c, X in cases]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -306,10 +335,10 @@ class TestThreeHalvesPower:
         expected = []
         for coeffs, X, q in calls:
             monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
-            expected.append(_power_sum(coeffs, X, q))
+            expected.append(_power_sums([(coeffs, q)], X)[0])
         monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
         for (coeffs, X, q), want in zip(calls, expected):
-            assert np.array_equal(_power_sum(coeffs, X, q), want)
+            assert np.array_equal(_power_sums([(coeffs, q)], X)[0], want)
 
 
 class TestImagesKernel:
@@ -327,8 +356,8 @@ class TestImagesKernel:
         G = rng.standard_normal((n, k))
         D = rng.standard_normal((k, m))
         fused = lorentz_norm_images(params, G, D)
-        assert np.array_equal(fused, lorentz_norm_columns(params, (D.T @ G.T).T))
-        assert np.allclose(fused, lorentz_norm_columns(params, G @ D),
+        assert np.array_equal(fused, lorentz_norm(params, (D.T @ G.T).T))
+        assert np.allclose(fused, lorentz_norm(params, G @ D),
                            rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("r", [0.0, 0.3])
@@ -339,7 +368,7 @@ class TestImagesKernel:
         params = power_params(r, 1.5, 300)
         G = rng.standard_normal((300, 4))
         D = rng.standard_normal((4, 41))
-        unfused = lorentz_norm_columns(params, (D.T @ G.T).T)
+        unfused = lorentz_norm(params, (D.T @ G.T).T)
         monkeypatch.setattr(norms, "_WORKERS", 1)
         monkeypatch.setattr(norms, "BLOCK_ENTRIES", 300)
         assert np.array_equal(lorentz_norm_images(params, G, D), unfused)
@@ -349,7 +378,7 @@ class TestImagesKernel:
         monkeypatch.setattr(norms, "BLOCK_ENTRIES", 2 * 300)
         cases = [(power_params(r, 1.5, 300), rng.standard_normal((300, 4)),
                   rng.standard_normal((4, 41))) for r in (0.0, 0.3) for _ in range(2)]
-        expected = [lorentz_norm_columns(params, (D.T @ G.T).T)
+        expected = [lorentz_norm(params, (D.T @ G.T).T)
                     for params, G, D in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -394,7 +423,7 @@ class TestPowerSumPairs:
         pairs = [(coeffs[kind], q) for kind, q in pairs]
         got = _power_sums(pairs, X)
         for (c, q), sums in zip(pairs, got):
-            assert np.array_equal(sums, _power_sum(c, X, q))
+            assert np.array_equal(sums, _power_sums([(c, q)], X)[0])
 
 
 class TestPsiGradient:
@@ -466,7 +495,7 @@ class TestLipschitz:
         b = lipschitz_constant(params)
         thetas = rng.standard_normal((16, 2000))
         thetas /= np.linalg.norm(thetas, axis=0)
-        norms = lorentz_norm_columns(params, thetas)
+        norms = lorentz_norm(params, thetas)
         assert np.all(norms <= b * (1.0 + 1e-12))
 
     def test_rejects_quasi_norm(self):

@@ -248,7 +248,7 @@ class TestBoundReport:
     def test_report_consistency(self):
         report = compute_bound_report(0.0, 2.0, 10 ** 4, 0.1)
         assert report.case.figure1 == "ia"
-        applicable = [report.d_milman, min(report.E, report.F),
+        applicable = [report.d, min(report.E, report.F),
                       report.d_general, report.d_prime]
         assert report.k_max == max(1, int(min(applicable)))
         assert not report.asymptotics_not_reached
@@ -262,7 +262,7 @@ class TestBoundReport:
         assert report.ledger_values["ellinfty"] == expected
         # k_max is unchanged: the l_inf bound does not enter it
         assert report.k_max == max(1, int(min(
-            report.d_milman, min(report.E, report.F), report.d_general)))
+            report.d, min(report.E, report.F), report.d_general)))
         low = compute_bound_report(1.0, 3.0, n, eps)
         assert "ellinfty" not in low.shape_values
         assert "ellinfty" not in low.ledger_values

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lorentz_embed import (beta_weights, grad_functional, make_sharp_spec,
-                           sharp_norm, sharp_norm_columns)
-from lorentz_embed.sharp import grad_functional_columns
+                           sharp_norm)
 from oracle import weighted_power_sum
 
 # one representative (r, p) per case, all valid at n = 10^4
@@ -33,7 +32,7 @@ class TestGradFunctional:
     def test_columns_match_scalar(self, rng):
         X = rng.standard_normal((20, 6))
         coeffs = np.arange(1, 21, dtype=float) ** (-0.8)
-        cols = grad_functional_columns(0.4, 1.3, X)
+        cols = grad_functional(0.4, 1.3, X)
         for j in range(6):
             expected = weighted_power_sum(coeffs, X[:, j], 0.6)
             assert cols[j] == pytest.approx(expected, rel=1e-12)
@@ -72,16 +71,16 @@ class TestSharpNorm:
         spec = make_sharp_spec("IVa", 0.3, 1.4, 10 ** 4, t=2.0)
         X = rng.standard_normal((10 ** 4, 40))
         Y = rng.standard_normal((10 ** 4, 40))
-        lhs = sharp_norm_columns(spec, X + Y)
-        rhs = sharp_norm_columns(spec, X) + sharp_norm_columns(spec, Y)
+        lhs = sharp_norm(spec, X + Y)
+        rhs = sharp_norm(spec, X) + sharp_norm(spec, Y)
         assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
     def test_case_II_triangle_inequality_when_norm(self, rng):
         spec = make_sharp_spec("II", 0.3, 1.2, 500, t=2.0)
         X = rng.standard_normal((500, 50))
         Y = rng.standard_normal((500, 50))
-        lhs = sharp_norm_columns(spec, X + Y)
-        rhs = sharp_norm_columns(spec, X) + sharp_norm_columns(spec, Y)
+        lhs = sharp_norm(spec, X + Y)
+        rhs = sharp_norm(spec, X) + sharp_norm(spec, Y)
         assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
     def test_case_parameter_mismatch(self):
@@ -97,7 +96,7 @@ class TestSharpNorm:
             n = 10 ** 4 if case == "IVa" else 200
             spec = make_sharp_spec(case, r, p, n, t=2.0)
             X = rng.standard_normal((n, 3))
-            cols = sharp_norm_columns(spec, X)
+            cols = sharp_norm(spec, X)
             for j in range(3):
                 x = X[:, j]
                 if case == "IVb":
@@ -155,8 +154,8 @@ class TestChainFactor:
         K = spec.K
         q = 2.0 * (p - 1.0)
         X = rng.standard_normal((n, 200))
-        grad = grad_functional_columns(r, p, X)
-        sharp = sharp_norm_columns(spec, X)
+        grad = grad_functional(r, p, X)
+        sharp = sharp_norm(spec, X)
         assert np.all(grad <= K * sharp ** q * (1.0 + 1e-12))
 
     def test_case_III_pure_hoelder(self, rng):
