@@ -10,8 +10,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .constants import ConstantLedger
-from .embedding import _check_k, sample_gaussian_matrix, test_directions
-from .norms import _blocked_sums, lorentz_norm_images
+from .embedding import (_check_k, measure_distortion, sample_gaussian_matrix,
+                        test_directions)
+from .norms import _blocked_sums
 from .params import LorentzParams, power_params
 from .regimes import _check_eps, corollary_dimension_rp
 from .sharp import _grad_pair, make_sharp_spec
@@ -88,24 +89,6 @@ def _check_counts(**counts: int):
             raise ValueError(f"{name} must be positive, got {count}")
 
 
-def _sup_deviations(params: LorentzParams, k: int, trials: int, directions: int,
-                    stream: RandomStream, M: float, matrix_factory=None) -> np.ndarray:
-    """Per trial, the max of | |G theta|_{w,p} / M - 1 | over sampled directions.
-
-    The directions come from stream.substream(1), trial j's matrix from
-    stream.substream(2 + j); the norm kernel forms the images block by block.
-    matrix_factory, if given, replaces the Gaussian sampler.
-    """
-    factory = matrix_factory or sample_gaussian_matrix
-    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
-    sups = np.empty(trials)
-    for trial in range(trials):
-        G = factory(params.n, k, stream.substream(2 + trial))
-        norms = lorentz_norm_images(params, G, dirs)
-        sups[trial] = float(np.max(np.abs(norms / M - 1.0)))
-    return sups
-
-
 @dataclass(frozen=True)
 class OrderOrderVerification:
     case: str
@@ -180,16 +163,21 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     """Success rate of the (1 +- eps) event over random matrices and directions.
 
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
-    from a dedicated substream.  matrix_factory, if given, replaces the
-    Gaussian sampler (test override for deterministic fixtures).
+    from stream.substream(0).  The directions come from stream.substream(1),
+    trial j's matrix from stream.substream(2 + j), and the trial's max
+    deviation is measure_distortion's max_rel_dev.  matrix_factory, if given,
+    replaces the Gaussian sampler (test override for deterministic fixtures).
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)
     if M is None:
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
-    max_devs = _sup_deviations(params, k, trials, directions, stream, M,
-                               matrix_factory)
+    factory = matrix_factory or sample_gaussian_matrix
+    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
+    max_devs = np.array([measure_distortion(
+        factory(params.n, k, stream.substream(2 + j)), params, M, dirs).max_rel_dev
+        for j in range(trials)])
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
@@ -213,9 +201,6 @@ class CalibrationRecord:
     fit_seed: int
     validation_seed: int
     details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_seed_split(self.fit_seed, self.validation_seed)
 
     to_dict = asdict
 
@@ -374,7 +359,6 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     the shape value would measure the direction sample, not the embedding.
     """
     _check_seed_split(fit_stream.master_seed, validation_stream.master_seed)
-    _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     params = power_params(r, p, n)
     shape = corollary_dimension_rp(r, p, n, eps)
@@ -422,8 +406,8 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     """Fit the log-log slope of k*(eps), the largest k passing at rate >= PROBE_THRESHOLD.
 
     The CI comes from a parametric bootstrap: per probed (eps, k) the observed
-    success count is resampled binomially, k* is recomputed from the resampled
-    rates, and the regression slope is refit per replicate.
+    success count is resampled binomially (all in one draw), k* is recomputed
+    from the resampled rates, and the regression slope is refit per replicate.
 
     The search per eps is capped at k_cap = min(n, ceil(4 ln m)) for
     m sampled directions: the sampled sup-deviation stops growing in k around
@@ -439,13 +423,13 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(10 ** 6))
 
     k_stars = []
-    per_eps_observed = []
+    probed = []  # (eps index, k, success rate): eps in grid order, then ascending k
     for j, eps in enumerate(eps_grid):
         k_star, observed = _largest_successful_k(
             params, eps, trials, directions, PROBE_THRESHOLD,
             stream.substream(j), M, k_cap)
         k_stars.append(k_star)
-        per_eps_observed.append(observed)
+        probed += [(j, k, observed[k]) for k in sorted(observed)]
     saturated = any(k >= k_cap for k in k_stars)
 
     def fit_slope(ks):
@@ -460,16 +444,14 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
 
     slope = fit_slope(k_stars)
     rng = stream.substream(10 ** 6 + 1).generator()
+    counts = rng.binomial(trials, [rate for _, _, rate in probed],
+                          (BOOTSTRAP_RESAMPLES, len(probed)))
     boot = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        ks_b = []
-        for observed in per_eps_observed:
-            best = 0
-            for k in sorted(observed):
-                cnt = rng.binomial(trials, min(1.0, max(0.0, observed[k])))
-                if cnt / trials >= PROBE_THRESHOLD:
-                    best = max(best, k)
-            ks_b.append(best)
+    for row in counts:
+        ks_b = [0] * len(eps_grid)
+        for (j, k, _), count in zip(probed, row):
+            if count / trials >= PROBE_THRESHOLD:
+                ks_b[j] = k  # k ascends within an eps: the last pass is the largest
         s = fit_slope(ks_b)
         if s is not None:
             boot.append(s)

@@ -43,28 +43,16 @@ def classify_case(r: float, p: float, n: int) -> RegimeCase:
     if n < 3:
         raise ValueError("n must be at least 3")
 
+    band = "a" if r <= 0.5 else "b*" if r <= 1.0 else "b**"
     if p >= 1.5:
-        if r <= 0.5:
-            fig = "ia"
-        elif r <= 1.0:
-            fig = "ib*"
-        else:
-            fig = "ib**"
-        return RegimeCase(fig, "I")
-
+        return RegimeCase("i" + band, "I")
     # 1 <= p < 3/2
     if _on_iv_boundary(r, p):
         sub = "IVa" if (1.0 - 2.0 * r) * math.log(n) >= math.e else "IVb"
         return RegimeCase("iv", sub)
     if p < 1.5 - 2.0 * r:
         return RegimeCase("iii", "III")
-    if r <= 0.5:
-        fig = "iia"
-    elif r <= 1.0:
-        fig = "iib*"
-    else:
-        fig = "iib**"
-    return RegimeCase(fig, "II")
+    return RegimeCase("ii" + band, "II")
 
 
 def _check_eps(eps: float):
@@ -247,7 +235,7 @@ def general_dimension(
 class EllInftyResult:
     applicable: bool
     k_bound: float
-    vacuous: bool = False
+    vacuous: bool
 
     to_dict = asdict
 
@@ -270,10 +258,7 @@ def ellinfty_regime(
         1.0 + (1.0 + n ** (1.0 - r)) / (1.0 + abs(1.0 - r) * ln) * ln
     )
     applicable = p > gate
-    log_inv_eps = -math.log(eps)
-    if log_inv_eps == 0.0:
-        return EllInftyResult(applicable, math.inf, vacuous=True)
-    k_bound = ledger.get("c2_ellinfty") * eps * ln / log_inv_eps
+    k_bound = ledger.get("c2_ellinfty") * eps * ln / -math.log(eps)
     # as eps -> 1 the bound blows up past the ambient dimension and says nothing
     return EllInftyResult(applicable, k_bound, vacuous=k_bound >= n)
 

@@ -372,3 +372,8 @@ class TestScalingProbe:
         d = res.to_dict()
         assert set(d) >= {"eps_grid", "k_stars", "slope", "slope_ci_low",
                           "slope_ci_high", "inconclusive", "saturated"}
+        # the exact result pins the bootstrap's draw order; k* = 0 is left out of the fit
+        assert res.k_stars == (0, 2, 3, 7)
+        assert res.slope == 2.363893679110289
+        assert (res.slope_ci_low, res.slope_ci_high) == (2.0723230629303306,
+                                                         2.6221272687962167)

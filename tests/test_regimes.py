@@ -22,6 +22,10 @@ class TestClassify:
         assert classify_case(0.0, 3.0, 100).figure1 == "ia"
         assert classify_case(0.3, 1.4, 100).figure1 == "iv"
         assert classify_case(0.1, 1.2, 100).figure1 == "iii"
+        # every band on both sides of r = 1/2 and r = 1, for p >= 3/2 and p < 3/2
+        for p, prefix in ((2.0, "i"), (1.2, "ii")):
+            for r, band in ((0.5, "a"), (0.6, "b*"), (1.0, "b*"), (1.1, "b**")):
+                assert classify_case(r, p, 100).figure1 == prefix + band
 
     def test_orderorder_dispatch(self):
         assert classify_case(0.3, 2.0, 10 ** 4).orderorder == "I"
