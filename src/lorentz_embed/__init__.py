@@ -3,7 +3,7 @@ norms, explicit dimension bounds per parameter regime, and Monte Carlo
 verification of the almost-isometry and concentration events."""
 
 from .constants import DEFAULT_LEDGER, KNOWN_CONSTANTS, ConstantLedger
-from .params import LorentzParams, WeightSequence, power_params
+from .params import LorentzParams, power_params
 from .norms import (lipschitz_constant, lipschitz_maximizer, lorentz_norm,
                     lorentz_norm_images, psi, psi_gradient_norm)
 from .sharp import (beta_weights, grad_functional, make_sharp_spec, sharp_norm,

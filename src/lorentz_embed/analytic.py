@@ -110,10 +110,8 @@ def median_psi_shape(r: float, p: float, n: int) -> float:
     return ln ** (1.0 + p / 2.0) / (1.0 + (r - 1.0) * ln) + ln ** (p / 2.0)
 
 
-def median_norm_shape(weights: np.ndarray, p: float, n: int) -> float:
-    """Shape (sum_i w_i (ln(n/i))^(p/2))^(1/p) for the median of |X|_{w,p}."""
+def median_norm_shape(weights: np.ndarray, p: float) -> float:
+    """Shape (sum_i w_i (ln(n/i))^(p/2))^(1/p) for the median of |X|_{w,p}, n = w.size."""
     w = np.asarray(weights, dtype=float)
-    if w.size != n:
-        raise ValueError("weights length must equal n")
-    return float(_log_power_sum(w, p / 2.0, n) ** (1.0 / p))
+    return float(_log_power_sum(w, p / 2.0, w.size) ** (1.0 / p))
 

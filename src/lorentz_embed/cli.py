@@ -19,7 +19,7 @@ from .montecarlo import (_check_counts, calibrate, calibrate_embedding_dimension
                          estimate_median_norm, scaling_probe, verify_embedding,
                          verify_orderorder)
 from .norms import _WORKERS, blas_threads
-from .params import LorentzParams, WeightSequence, power_params
+from .params import LorentzParams, power_params
 from .regimes import classify_case, compute_bound_report
 from .streams import RandomStream
 
@@ -59,16 +59,16 @@ def _parse_float(text: str, where: str) -> float:
         raise UsageError(f"{where} is not a number: {text.strip()!r}") from None
 
 
-def _load_weights_file(config: dict) -> WeightSequence:
-    """One weight per line, validated against the weight-sequence invariants;
-    the sha256 of the file's bytes is echoed in the report config."""
+def _load_weights_file(config: dict) -> np.ndarray:
+    """One weight per line, as an array that LorentzParams validates; the
+    sha256 of the file's bytes is echoed in the report config."""
     with open(config["weights_file"], "rb") as fh:
         data = fh.read()
     config["weights_file_sha256"] = hashlib.sha256(data).hexdigest()
     values = [_parse_float(line, f"weights_file line {number}")
               for number, line in enumerate(data.decode().splitlines(), 1)
               if line.strip()]
-    return WeightSequence(np.array(values))
+    return np.array(values)
 
 
 # option name -> keywords of its flag: --seed for master_seed, else --name-with-dashes

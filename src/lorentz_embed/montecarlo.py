@@ -67,7 +67,7 @@ def _estimate_median(params: LorentzParams, samples: int, stream: RandomStream,
     """Sample median of psi^power over samples draws of X."""
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    values = _sample_power_sums([(params.weight_values(), params.p)], params.n,
+    values = _sample_power_sums([(params.weights, params.p)], params.n,
                                 samples, stream)[0] ** power
     return float(np.median(values))
 
@@ -158,26 +158,23 @@ class EmbeddingVerification:
 
 def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
                      directions: int, stream: RandomStream,
-                     M: float | None = None,
-                     matrix_factory=None) -> EmbeddingVerification:
+                     M: float | None = None) -> EmbeddingVerification:
     """Success rate of the (1 +- eps) event over random matrices and directions.
 
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
     from stream.substream(0).  The directions come from stream.substream(1),
     trial j's matrix from stream.substream(2 + j), and the trial's max
-    deviation is measure_distortion's max_rel_dev.  matrix_factory, if given,
-    replaces the Gaussian sampler (test override for deterministic fixtures).
+    deviation is measure_distortion's max_rel_dev.
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)
     if M is None:
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
-    factory = matrix_factory or sample_gaussian_matrix
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
-    max_devs = np.array([measure_distortion(
-        factory(params.n, k, stream.substream(2 + j)), params, M, dirs).max_rel_dev
-        for j in range(trials)])
+    max_devs = np.array([
+        measure_distortion(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
+                           params, M, dirs).max_rel_dev for j in range(trials)])
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,

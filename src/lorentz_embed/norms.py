@@ -218,7 +218,7 @@ def lorentz_norm(params: LorentzParams, x):
     """(sum_i w_i x_[i]^p)^(1/p) of an n-vector (a float), or of each column
     of an (n, m) matrix (an array)."""
     x = _checked(params.n, x)
-    norms = _power_sums([(params.weight_values(), params.p)],
+    norms = _power_sums([(params.weights, params.p)],
                         x.reshape(params.n, -1))[0] ** (1.0 / params.p)
     return float(norms[0]) if x.ndim == 1 else norms
 
@@ -236,7 +236,7 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
         raise ValueError(f"expected a ({G.shape[1]}, m) direction matrix, "
                          f"got shape {directions.shape}")
     directions = _checked(G.shape[1], directions)
-    power = _power_sums([(params.weight_values(), params.p)], G, directions)[0]
+    power = _power_sums([(params.weights, params.p)], G, directions)[0]
     return power ** (1.0 / params.p)
 
 
@@ -244,7 +244,7 @@ def psi(params: LorentzParams, x):
     """The potential sum_i w_i x_[i]^p = lorentz_norm(params, x)^p of an
     n-vector (a float), or of each column of an (n, m) matrix (an array)."""
     x = _checked(params.n, x)
-    sums = _power_sums([(params.weight_values(), params.p)], x.reshape(params.n, -1))[0]
+    sums = _power_sums([(params.weights, params.p)], x.reshape(params.n, -1))[0]
     return float(sums[0]) if x.ndim == 1 else sums
 
 
@@ -262,7 +262,7 @@ def psi_gradient_norm(params: LorentzParams, x) -> GradientNormResult:
     flagged as a non-smooth point.
     """
     x = _checked(params.n, x, (1,))
-    w = params.weight_values()
+    w = params.weights
     ax = np.abs(x)
     xs = np.sort(ax)[::-1]
     smooth = bool(np.all(xs > 0.0) and np.all(np.diff(xs) < 0.0))
@@ -282,7 +282,7 @@ def lipschitz_constant(params: LorentzParams) -> float:
         raise ValueError("Lipschitz constant is only available for p >= 1")
     if p >= 2.0:
         return 1.0
-    w = params.weight_values()
+    w = params.weights
     return float(np.sum(w ** (2.0 / (2.0 - p))) ** ((2.0 - p) / (2.0 * p)))
 
 
@@ -300,6 +300,6 @@ def lipschitz_maximizer(params: LorentzParams) -> np.ndarray:
         theta = np.zeros(n)
         theta[0] = 1.0
         return theta
-    w = params.weight_values()
+    w = params.weights
     theta = w ** (1.0 / (2.0 - p))
     return theta / np.linalg.norm(theta)

@@ -1,4 +1,4 @@
-"""Weight sequences and Lorentz norm parameters."""
+"""Lorentz norm parameters: a weight sequence and an exponent p."""
 
 from __future__ import annotations
 
@@ -8,47 +8,31 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class WeightSequence:
-    """Non-increasing weights in [0, 1] with first entry exactly 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("weights must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("weights must be finite")
-        if v[0] != 1.0:
-            raise ValueError("first weight must equal 1 exactly")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if np.any(np.diff(v) > 0.0):
-            raise ValueError("weights must be non-increasing")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class LorentzParams:
     """A (weights, p) pair defining a Lorentz norm (p >= 1) or quasi-norm (p < 1)."""
 
-    weights: WeightSequence
+    weights: np.ndarray  # 1-d floats, non-increasing in [0, 1], first entry exactly 1
     p: float
 
     def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError("weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if w[0] != 1.0:
+            raise ValueError("first weight must equal 1 exactly")
+        if np.any(w < 0.0) or np.any(w > 1.0):
+            raise ValueError("weights must lie in [0, 1]")
+        if np.any(np.diff(w) > 0.0):
+            raise ValueError("weights must be non-increasing")
         if not (np.isfinite(self.p) and self.p > 0.0):
             raise ValueError("p must be a positive finite real")
 
     @property
     def n(self) -> int:
-        return self.weights.n
-
-    def weight_values(self) -> np.ndarray:
-        return self.weights.values
+        return self.weights.size
 
 
 def power_params(r: float, p: float, n: int) -> LorentzParams:
@@ -57,4 +41,4 @@ def power_params(r: float, p: float, n: int) -> LorentzParams:
         raise ValueError("r must be a finite nonnegative real")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return LorentzParams(WeightSequence(np.arange(1, n + 1, dtype=float) ** (-r)), p)
+    return LorentzParams(np.arange(1, n + 1, dtype=float) ** (-r), p)

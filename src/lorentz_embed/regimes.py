@@ -10,7 +10,7 @@ import numpy as np
 from .analytic import _log_power_sum, median_norm_shape
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import lipschitz_constant
-from .params import WeightSequence, power_params
+from .params import LorentzParams, power_params
 
 # tolerance used to detect the boundary family p = 2(1-r)
 P_BOUNDARY_TOL = 1e-12
@@ -198,9 +198,7 @@ def corollary_dimension_rp(
 
 
 def general_dimension(
-    weights: WeightSequence,
-    p: float,
-    n: int,
+    params: LorentzParams,
     eps: float,
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> float:
@@ -210,11 +208,10 @@ def general_dimension(
     where Sw = sum_i w_i (ln(n/i))^(p/2), D = sum_i w_i^2 (ln(n/i))^(p-1) and B
     switches at p = 3/2 and p = 2.  For p = 1: c Sw^2 eps^2 / sum_i w_i^2.
     """
+    w, p, n = params.weights, params.p, params.n
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    w = weights.values
-    if w.size != n:
-        raise ValueError("weights length must equal n")
+    _check_eps(eps)
     c = ledger.get("c_dim")
     Sw = float(_log_power_sum(w, p / 2.0, n))
     if p == 1.0:
@@ -291,14 +288,14 @@ def compute_bound_report(
     """Evaluate every applicable dimension bound for the power-weight family.
 
     At r > 1, where d' is not defined, the near-l_inf regime is reported
-    under 'ellinfty' instead; it does not enter k_max.
+    under 'ellinfty' instead; it does not enter k_max.  A bound that
+    overflows a float (at large p) raises ValueError.
     """
     case = classify_case(r, p, n)
     params = power_params(r, p, n)
-    w = params.weight_values()
 
     def all_values(ldg: ConstantLedger) -> dict:
-        M_shape = median_norm_shape(w, p, n)
+        M_shape = median_norm_shape(params.weights, p)
         b = lipschitz_constant(params)
         E, F = lomain_EF(r, p, n, eps, ldg)
         E_s, F_s = lomain_EF_simplified(r, p, n, eps, ldg)
@@ -310,14 +307,21 @@ def compute_bound_report(
             "E_simplified": E_s,
             "F_simplified": F_s,
             "d_prime": d_prime,
-            "d_general": general_dimension(params.weights, p, n, eps, ldg),
+            "d_general": general_dimension(params, eps, ldg),
         }
         if r > 1.0:
             values["ellinfty"] = ellinfty_regime(n, eps, r, p, ldg).to_dict()
         return values
 
-    shape = all_values(DEFAULT_LEDGER)
-    scaled = all_values(ledger)
+    try:  # every value is checked here, so numpy's overflow warnings are off
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape, scaled = all_values(DEFAULT_LEDGER), all_values(ledger)
+        if not all(math.isfinite(v) for values in (shape, scaled)
+                   for v in values.values() if isinstance(v, float)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"a bound at p = {p} overflows a float at "
+                         f"(r, p, n, eps) = ({r}, {p}, {n}, {eps})") from None
     applicable = [scaled["d"], min(scaled["E"], scaled["F"]), scaled["d_general"]]
     if scaled["d_prime"] is not None:
         applicable.append(scaled["d_prime"])

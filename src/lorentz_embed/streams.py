@@ -1,4 +1,4 @@
-"""Reproducible random streams keyed by (master_seed, stream_id, path)."""
+"""Reproducible random streams keyed by (master_seed, path)."""
 
 from __future__ import annotations
 
@@ -11,29 +11,25 @@ import numpy as np
 class RandomStream:
     """A named, reproducible source of randomness.
 
-    (master_seed, stream_id, path) fully determines all draws: the spawn key is
-    (stream_id,) + path.  Distinct stream ids give statistically independent
-    streams.  Substreams extend the path so parallel scheduling cannot change
-    results.
+    (master_seed, path) fully determines all draws: path is the spawn key.
+    Distinct paths give statistically independent streams.  Substreams
+    extend the path so parallel scheduling cannot change results.
     """
 
     master_seed: int
-    stream_id: int = 0
-    path: tuple = ()
+    path: tuple = (0,)
 
     def __post_init__(self):
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
+        if not (isinstance(self.path, tuple)
+                and all(isinstance(i, int) and i >= 0 for i in self.path)):
+            raise ValueError("path must be a tuple of nonnegative integers")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed,
-                                     spawn_key=(self.stream_id,) + self.path)
-        return np.random.default_rng(seq)
+        return np.random.default_rng(
+            np.random.SeedSequence(self.master_seed, spawn_key=self.path))
 
     def substream(self, index: int) -> "RandomStream":
         """Child stream for one trial; index is appended to the path."""
-        if index < 0:
-            raise ValueError("substream index must be nonnegative")
-        return RandomStream(self.master_seed, self.stream_id, self.path + (index,))
+        return RandomStream(self.master_seed, self.path + (index,))

@@ -15,7 +15,8 @@ def weighted_power_sum(coeffs, x, q):
     return math.fsum(float(c) * v ** q for c, v in zip(coeffs, xs))
 
 
-def identity_injection(n, k):
-    """The (n, k) canonical injection: a matrix_factory fixture whose every
-    image keeps its norm."""
+def identity_injection(n, k, stream=None):
+    """The (n, k) canonical injection, whose every image keeps its norm.
+    Tests monkeypatch it in for sample_gaussian_matrix, whose stream it
+    ignores."""
     return np.eye(n, k)

@@ -185,8 +185,8 @@ class TestCriterion4DeterministicChains:
     @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
     def test_implication_never_violated(self, case):
         r, p = CASE_PARAMS[case]
-        res = verify_orderorder(case, r, p, 10 ** 4, 3.0, 10 ** 4,
-                                DEFAULT_LEDGER, RandomStream(404, sorted(CASE_PARAMS).index(case)))
+        stream = RandomStream(404, (sorted(CASE_PARAMS).index(case),))
+        res = verify_orderorder(case, r, p, 10 ** 4, 3.0, 10 ** 4, DEFAULT_LEDGER, stream)
         assert res.implication_violations == 0
         _passed(f"criterion 4: case {case} implication violations = 0 "
                 f"over {res.trials} trials (P[S] = {res.prob_S_holds:.4f})")
@@ -220,7 +220,7 @@ class TestCriterion6MedianShapes:
                 ratios = []
                 for n in (10 ** 2, 10 ** 3, 10 ** 4):
                     M = estimate_median_psi(power_params(r, p, n), 10 ** 4,
-                                            RandomStream(606, next(counter)))
+                                            RandomStream(606, (next(counter),)))
                     ratios.append(M / median_psi_shape(r, p, n))
                 drift = max(ratios) / min(ratios)
                 worst = max(worst, drift)

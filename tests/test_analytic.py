@@ -134,7 +134,7 @@ class TestMedianShapes:
         # (sum ln(n/i))^(1/2) ~ sqrt(n) by Stirling
         for n in (100, 1000, 10000):
             w = np.ones(n)
-            ratio = median_norm_shape(w, 2.0, n) / math.sqrt(n)
+            ratio = median_norm_shape(w, 2.0) / math.sqrt(n)
             assert 0.9 < ratio < 1.1
 
     def test_median_psi_large_r_branch(self):

@@ -60,6 +60,17 @@ class TestBound:
         assert code == 1
         assert "eps" in err
 
+    @pytest.mark.parametrize("point", [
+        "--r 0 --p 150 --n 10", "--r 0.7 --p 150 --n 10", "--r 1 --p 150 --n 10",
+        "--r 1.5 --p 2000 --n 10000",
+    ])
+    def test_overflow_names_p_without_traceback(self, point, capsys):
+        # lomain_EF overflows at p 150; at p 2000, d is inf and d_general nan
+        code, out, err = run(["bound", *point.split(), "--eps", "0.1"], capsys)
+        assert code == 1 and out == ""
+        assert "p = " in err and "overflows" in err
+        assert "Traceback" not in err and "Warning" not in err
+
 
 class TestClassify:
     def test_classify_region_iv(self, capsys):
@@ -81,6 +92,55 @@ class TestSeedHandling:
         code, _, _ = run(["bound", "--r", "0.2", "--p", "1.5", "--n", "1000",
                           "--eps", "0.2"], capsys)
         assert code == 0
+
+
+# sha256 of the report of each command, as written with numpy 2.4.6 (the
+# version reports/ was written with); weights.txt holds 1, 0.5, 0.25, 0.125
+REPORT_SHA256 = {
+    "bound --r 0 --p 3 --n 10000 --eps 0.1":
+        "ef55f963d129c68712ba62dd569abd7590c0f111bb75f32155f3d7dcd1177b35",
+    "bound --r 0.3 --p 1.4 --n 10000 --eps 0.1":
+        "3fa0ea20151ac81eee91feb8596b2aae7a16cff60dfdde19c29fa6b5471cdf42",
+    "bound --r 1.5 --p 2 --n 10000 --eps 0.1":
+        "d9e45647ad5794a3e151a0fd7c4f07b64ca43f979d4566d92f919d1ebe12d298",
+    "bound --r 0 --p 100 --n 10 --eps 0.1":
+        "3934569e6c4373234c645d42fabc968d13e8718f664387e2feadf3507d83ed8e",
+    "classify --r 0.3 --p 1.4":
+        "999de173a7565f6399aded08f89857cc7fbeb35b426a48eb15ca7412151e6f7b",
+    "simulate --r 0.3 --p 1.5 --n 1000 --k 4 --seed 7":
+        "cf6fa68c55d285bcd74506d2a57357f198e569c514026fbf7562b5bf8a94c0ff",
+    "simulate --r 0.3 --p 1.5 --n 1000 --k 2 --seed 7 --mode grid2d":
+        "73e752486b20977bbebe01f74c37787f086d19ee09d6bc40d009480b80b7c2c3",
+    "verify --kind orderorder --case I --r 0.3 --p 2 --n 10000 --t 3 --seed 1":
+        "77352c1d6e8a89c8c5868eaa91c0d9ad8c38408184ca0d6e29be58fb650b7779",
+    "probe --r 0 --p 2 --n 100 --eps-grid 0.17,0.2,0.24,0.28 --seed 33":
+        "2faf08fd707e7a1d1ccd24dcb0dcb72bbb194d98273a286ed1b16d570634a5ae",
+    "probe --r 0 --p 2 --n 30 --eps-grid 0.06,0.07,0.08,0.09 --trials 5 "
+    "--directions 50 --seed 1":
+        "ee40f36501926f1764d2ad35c78eeb1ad7589c0cc2c1d2bfb21c5fe06e8eb9ca",
+    "calibrate --bound-name embedding_dimension --r 0 --p 1.5 --n 2000 --eps 0.2 "
+    "--seed 101 --validation-seed 202 --trials 4 --directions 2000":
+        "62aed6b26627260467e3ed4db27d9edfa6ab413b792cd1cd92a60862dc82e886",
+    "verify --kind embedding --r 0.3 --p 1.5 --n 2000 --k 8 --eps 0.2 --seed 1 "
+    "--trials 10 --directions 4000":
+        "4205c3fce94fcf6f3f697fc7901bd6aba7659f246b26dca886a60153aae65023",
+    "simulate --weights-file weights.txt --p 2 --k 2 --seed 3 --samples 200 "
+    "--directions 100":
+        "477c9387b3e861b993d2c46c043dd4e3312050981020379cfd0e380c96d913f9",
+}
+
+
+@pytest.mark.parametrize("command", REPORT_SHA256)
+def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
+    """The report of each command holds the same bytes as when it was pinned.
+    The digests hold for numpy 2.4.6, as reports/ does; the weights file is
+    given by a relative path because the path is echoed in the config."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weights.txt").write_text("1\n0.5\n0.25\n0.125\n")
+    code, _, _ = run(command.split() + ["--output", "report.json"], capsys)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[command]
 
 
 class TestReproducibility:

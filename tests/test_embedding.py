@@ -17,8 +17,8 @@ class TestRandomStream:
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RandomStream(7, 0).generator().standard_normal(5)
-        b = RandomStream(7, 1).generator().standard_normal(5)
+        a = RandomStream(7, (0,)).generator().standard_normal(5)
+        b = RandomStream(7, (1,)).generator().standard_normal(5)
         assert not np.array_equal(a, b)
 
     def test_substream_determinism_and_nesting(self):
@@ -29,18 +29,21 @@ class TestRandomStream:
         c = s.substream(3).substream(2).generator().standard_normal(4)
         assert not np.array_equal(a, c)
 
-    def test_spawn_key_is_stream_id_then_path(self):
-        s = RandomStream(7, 2).substream(3).substream(1)
-        assert s == RandomStream(7, 2, (3, 1))
+    def test_spawn_key_is_path(self):
+        s = RandomStream(7, (2,)).substream(3).substream(1)
+        assert s == RandomStream(7, (2, 3, 1))
         seq = np.random.SeedSequence(7, spawn_key=(2, 3, 1))
         assert np.array_equal(s.generator().standard_normal(4),
                               np.random.default_rng(seq).standard_normal(4))
+        assert RandomStream(7) == RandomStream(7, (0,))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomStream(-1)
-        with pytest.raises(ValueError):
-            RandomStream(1, -2)
+        with pytest.raises(ValueError, match="path"):
+            RandomStream(1, (-2,))
+        with pytest.raises(ValueError, match="path"):
+            RandomStream(1, 3)
         with pytest.raises(ValueError):
             RandomStream(1).substream(-1)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lorentz_embed import (LorentzParams, WeightSequence, grad_functional,
+from lorentz_embed import (LorentzParams, grad_functional,
                            lipschitz_constant, lipschitz_maximizer,
                            lorentz_norm, lorentz_norm_images, make_sharp_spec,
                            power_params, psi, psi_gradient_norm, sharp_norm)
@@ -46,7 +46,7 @@ def random_params(rng):
 
 class TestWeightSequence:
     def test_power_weights_materialize(self):
-        w = power_params(1.0, 1.0, 3).weight_values()
+        w = power_params(1.0, 1.0, 3).weights
         assert np.allclose(w, [1.0, 0.5, 1.0 / 3.0])
 
     @pytest.mark.parametrize("r, n, message", [
@@ -60,25 +60,35 @@ class TestWeightSequence:
             power_params(r, 2.0, n)
 
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            WeightSequence(np.array([1.0, 0.5, 0.6]))
+        with pytest.raises(ValueError, match="non-increasing"):
+            LorentzParams(np.array([1.0, 0.5, 0.6]), 2.0)
 
     def test_rejects_first_not_one(self):
-        with pytest.raises(ValueError):
-            WeightSequence(np.array([0.9, 0.5]))
+        with pytest.raises(ValueError, match="first weight"):
+            LorentzParams(np.array([0.9, 0.5]), 2.0)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            WeightSequence(np.array([1.0, -0.1]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            LorentzParams(np.array([1.0, -0.1]), 2.0)
+
+    def test_weights_checked_before_p(self):
+        with pytest.raises(ValueError, match="first weight"):
+            LorentzParams(np.array([0.9, 0.5]), -1.0)
+        with pytest.raises(ValueError, match="p must be"):
+            LorentzParams(np.ones(2), -1.0)
+
+    def test_weights_are_a_float_array(self):
+        params = LorentzParams([1, 1, 0], 2.0)
+        assert params.weights.dtype == float and params.n == 3
 
 
 class TestLorentzNorm:
     def test_euclidean_case(self):
-        params = LorentzParams(WeightSequence(np.ones(3)), 2.0)
+        params = LorentzParams(np.ones(3), 2.0)
         assert lorentz_norm(params, [3, 4, 0]) == pytest.approx(5.0)
 
     def test_weighted_example(self):
-        params = LorentzParams(WeightSequence(np.array([1.0, 0.5])), 1.0)
+        params = LorentzParams(np.array([1.0, 0.5]), 1.0)
         assert lorentz_norm(params, [-2, 1]) == pytest.approx(2.5)
 
     def test_basis_vector(self, rng):
@@ -115,7 +125,7 @@ class TestLorentzNorm:
 
     def test_columns_match_scalar(self, rng):
         params = power_params(0.7, 1.3, 15)
-        w = params.weight_values()
+        w = params.weights
         X = rng.standard_normal((15, 9))
         cols = lorentz_norm(params, X)
         for j in range(9):
@@ -126,7 +136,7 @@ class TestLorentzNorm:
     def test_columns_constant_weight_fast_path(self, rng):
         # r = 0 skips the per-column sort; must agree with the sorted oracle
         params = power_params(0.0, 1.7, 25)
-        w = params.weight_values()
+        w = params.weights
         X = rng.standard_normal((25, 7))
         cols = lorentz_norm(params, X)
         for j in range(7):
@@ -171,7 +181,7 @@ class TestLorentzNorm:
 
 class TestPsi:
     def test_squared_euclidean(self):
-        params = LorentzParams(WeightSequence(np.ones(2)), 2.0)
+        params = LorentzParams(np.ones(2), 2.0)
         assert psi(params, [3, 4]) == pytest.approx(25.0)
 
     def test_zero(self):
@@ -186,7 +196,7 @@ class TestPsi:
 
     def test_columns_match_scalar(self, rng):
         params = power_params(0.4, 2.5, 10)
-        w = params.weight_values()
+        w = params.weights
         X = rng.standard_normal((10, 5))
         cols = psi(params, X)
         for j in range(5):
@@ -428,13 +438,13 @@ class TestPowerSumPairs:
 
 class TestPsiGradient:
     def test_euclidean_gradient(self):
-        params = LorentzParams(WeightSequence(np.ones(3)), 2.0)
+        params = LorentzParams(np.ones(3), 2.0)
         res = psi_gradient_norm(params, [3, 4, 12])
         assert res.value == pytest.approx(26.0)
         assert res.smooth_point
 
     def test_p_one_gradient(self):
-        params = LorentzParams(WeightSequence(np.ones(2)), 1.0)
+        params = LorentzParams(np.ones(2), 1.0)
         res = psi_gradient_norm(params, [3, -4])
         assert res.value == pytest.approx(math.sqrt(2.0))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lorentz_embed
-from lorentz_embed import (KNOWN_CONSTANTS, ConstantLedger, WeightSequence,
+from lorentz_embed import (KNOWN_CONSTANTS, ConstantLedger, LorentzParams,
                            classify_case, compute_bound_report,
                            corollary_dimension_rp, ellinfty_regime,
                            general_dimension, lomain_EF, lomain_EF_simplified,
@@ -75,7 +75,7 @@ class TestMilman:
         # M ~ sqrt(n), b = 1 -> d ~ n eps^2
         n, eps = 10 ** 4, 0.1
         params = power_params(0.0, 2.0, n)
-        M = median_norm_shape(params.weight_values(), 2.0, n)
+        M = median_norm_shape(params.weights, 2.0)
         b = lipschitz_constant(params)
         d = milman_dimension(M, b, eps)
         assert 0.5 * n * eps ** 2 < d < 1.5 * n * eps ** 2
@@ -159,31 +159,36 @@ class TestCorollaryRp:
 
 class TestGeneralDimension:
     def test_flat_p2_n2(self):
-        w = WeightSequence(np.ones(2))
         eps = 0.3
-        assert general_dimension(w, 2.0, 2, eps) == pytest.approx(
+        assert general_dimension(LorentzParams(np.ones(2), 2.0), eps) == pytest.approx(
             math.log(2.0) / 2.0 * eps ** 2, rel=1e-12)
 
     def test_p_one_display(self):
         n, eps = 100, 0.2
-        w = WeightSequence(np.ones(n))
         logs = np.log(n / np.arange(1.0, n + 1))
         logs[-1] = 0.0
         expected = float(np.sum(logs ** 0.5)) ** 2 * eps ** 2 / n
-        assert general_dimension(w, 1.0, n, eps) == pytest.approx(expected, rel=1e-12)
+        assert general_dimension(LorentzParams(np.ones(n), 1.0), eps) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_matches_power_weight_exponent(self):
         # n-exponent of d_general matches min(E, F) away from excluded regimes
         r, p = 0.2, 1.2
         slopes = []
         for d_fn in (
-            lambda n: general_dimension(power_params(r, p, n).weights, p, n, 0.1),
+            lambda n: general_dimension(power_params(r, p, n), 0.1),
             lambda n: min(lomain_EF(r, p, n, 0.1)),
         ):
             x = [math.log(n) for n in (10 ** 4, 10 ** 5, 10 ** 6)]
             y = [math.log(d_fn(n)) for n in (10 ** 4, 10 ** 5, 10 ** 6)]
             slopes.append(np.polyfit(x, y, 1)[0])
         assert abs(slopes[0] - slopes[1]) <= 0.05
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, 1.5])
+    def test_eps_domain(self, eps):
+        # a negative eps would raise eps^(2/p) to a complex number
+        with pytest.raises(ValueError, match="eps"):
+            general_dimension(power_params(0.2, 1.5, 100), eps)
 
 
 class TestEllInfty:
