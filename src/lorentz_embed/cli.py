@@ -286,7 +286,6 @@ def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
     grid = _read_json(config["grid_file"])
     if not isinstance(grid, list) or not all(map(_is_number_list, grid)):
         raise UsageError("grid_file must hold a JSON list of lists of numbers")
-    grid = [tuple(point) for point in grid]
     return calibrate(name, grid, stream, validation), EXIT_OK
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 # Every constant that some formula reads through ConstantLedger.get.  Other
@@ -27,11 +29,12 @@ KNOWN_CONSTANTS = (
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """Positive named constants; defaults to 1.0 for every known name."""
+    """Positive named constants, held as a read-only copy; 1.0 for a name not given."""
 
-    values: dict[str, float] = field(default_factory=dict)
+    values: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "values", types.MappingProxyType(dict(self.values)))
         for name, v in self.values.items():
             if name not in KNOWN_CONSTANTS:
                 raise ValueError(f"unknown constant name: {name!r}")

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import analytic
 from .constants import ConstantLedger
 from .embedding import (_check_k, measure_distortion, sample_gaussian_matrix,
                         test_directions)
@@ -202,45 +203,32 @@ class CalibrationRecord:
     to_dict = asdict
 
 
-def _ratio_evaluator(bound_name: str):
-    """Registry of named two-sided estimates: (arity, evaluate), where
-    evaluate(grid_point, stream) -> (true, shape) for a point of arity values."""
-    from . import analytic
+def _incomplete_gamma(sign: str):
+    """The oracle of int_0^b e^(+-w) w^q dw, by quadrature, against its shape."""
+    s = {"decay": -1.0, "growth": 1.0}[sign]
 
-    def power_log_sum(point, stream):
-        a, q, n = point
-        return analytic.power_log_sum_exact(a, q, int(n)), \
-            analytic.power_log_sum_shape(a, q, int(n))
+    def evaluate(b, q, stream):
+        from scipy import integrate
+        true, _ = integrate.quad(lambda w: math.exp(s * w) * w ** q, 0.0, b)
+        return true, analytic.incomplete_gamma_shape(b, q, sign)
+    return evaluate
 
-    def power_integral(point, stream):
-        a, T = point
-        return analytic.power_integral_exact(a, T), analytic.power_integral_shape(a, T)
 
-    def incomplete_gamma(sign):
-        s = {"decay": -1.0, "growth": 1.0}[sign]
-
-        def evaluate(point, stream):
-            from scipy import integrate
-            b, q = point
-            true, _ = integrate.quad(lambda w: math.exp(s * w) * w ** q, 0.0, b)
-            return true, analytic.incomplete_gamma_shape(b, q, sign)
-        return evaluate
-
-    def median_psi(point, stream):
-        r, p, n = point
-        params = power_params(r, p, int(n))
-        return estimate_median_psi(params, 4000, stream), \
-            analytic.median_psi_shape(r, p, int(n))
-
-    registry = {"power_log_sum": (3, power_log_sum),
-                "power_integral": (2, power_integral),
-                "incomplete_gamma_decay": (2, incomplete_gamma("decay")),
-                "incomplete_gamma_growth": (2, incomplete_gamma("growth")),
-                "median_psi": (3, median_psi)}
-    if bound_name not in registry:
-        raise ValueError(f"unknown two-sided bound {bound_name!r}; "
-                         f"known: {sorted(registry)}")
-    return registry[bound_name]
+# The named two-sided estimates: name -> (arity, evaluate), where
+# evaluate(*point, stream) -> (true, shape) at a grid point of arity values.
+# Every shape is a closed form; only median_psi draws from its stream.
+_RATIO_ORACLES = {
+    "power_log_sum": (3, lambda a, q, n, stream: (
+        analytic.power_log_sum_exact(a, q, int(n)),
+        analytic.power_log_sum_shape(a, q, int(n)))),
+    "power_integral": (2, lambda a, T, stream: (
+        analytic.power_integral_exact(a, T), analytic.power_integral_shape(a, T))),
+    "incomplete_gamma_decay": (2, _incomplete_gamma("decay")),
+    "incomplete_gamma_growth": (2, _incomplete_gamma("growth")),
+    "median_psi": (3, lambda r, p, n, stream: (
+        estimate_median_psi(power_params(r, p, int(n)), 4000, stream),
+        analytic.median_psi_shape(r, p, int(n)))),
+}
 
 
 def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
@@ -254,49 +242,45 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     calibrate_embedding_dimension instead.
     """
     _check_seed_split(fit_stream.master_seed, validation_stream.master_seed)
-    param_grid = tuple(param_grid)
+    param_grid = tuple(map(tuple, param_grid))
     if not param_grid:
         raise ValueError("param_grid must be nonempty")
-
-    arity, evaluate = _ratio_evaluator(bound_name)
+    if bound_name not in _RATIO_ORACLES:
+        raise ValueError(f"unknown two-sided bound {bound_name!r}; "
+                         f"known: {sorted(_RATIO_ORACLES)}")
+    arity, evaluate = _RATIO_ORACLES[bound_name]
     for point in param_grid:
         if len(point) != arity:
             raise ValueError(f"grid_file point {list(point)}: {bound_name} "
                              f"takes {arity} values")
 
-    def ev(point, stream):
-        try:
-            true, shape = evaluate(point, stream)
-            if math.isfinite(true) and math.isfinite(shape):
-                return true, shape
-        except OverflowError:
-            pass
-        raise ValueError(f"grid_file point {list(point)}: {bound_name} "
-                         f"does not evaluate to finite numbers")
-
-    ratios = []
-    for j, point in enumerate(param_grid):
-        true, shape = ev(point, fit_stream.substream(j))
-        if shape <= 0.0:
-            if true != 0.0:
+    def evaluated(stream: RandomStream) -> list:
+        """(true, shape) at each grid point with shape > 0; point j draws
+        from stream.substream(j)."""
+        kept = []
+        for j, point in enumerate(param_grid):
+            try:
+                true, shape = evaluate(*point, stream.substream(j))
+            except OverflowError:
+                true = shape = math.inf
+            if not (math.isfinite(true) and math.isfinite(shape)):
+                raise ValueError(f"grid_file point {list(point)}: {bound_name} "
+                                 f"does not evaluate to finite numbers")
+            if shape > 0.0:
+                kept.append((true, shape))
+            elif true != 0.0:
                 raise ValueError(f"shape is 0 but the quantity is {true} at {point}")
-            continue
-        ratios.append(true / shape)
+        return kept
+
+    ratios = [true / shape for true, shape in evaluated(fit_stream)]
     if not ratios:
         raise ValueError("bound never evaluable on grid")
     fitted = max(ratios)
-    violations = 0
-    total = 0
-    for j, point in enumerate(param_grid):
-        true, shape = ev(point, validation_stream.substream(j))
-        if shape <= 0.0:
-            continue
-        total += 1
-        if true > 1.05 * fitted * shape:
-            violations += 1
+    checked = evaluated(validation_stream)
+    violations = sum(true > 1.05 * fitted * shape for true, shape in checked)
     return CalibrationRecord(bound_name=bound_name, fitted_constant=fitted,
                              fit_grid=param_grid,
-                             validation_violation_rate=violations / total if total else 0.0,
+                             validation_violation_rate=violations / len(checked),
                              fit_seed=fit_stream.master_seed,
                              validation_seed=validation_stream.master_seed,
                              details={"ratio_min": min(ratios), "ratio_max": fitted})

@@ -7,15 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LorentzParams:
-    """A (weights, p) pair defining a Lorentz norm (p >= 1) or quasi-norm (p < 1)."""
+    """A (weights, p) pair defining a Lorentz norm (p >= 1) or quasi-norm (p < 1);
+    equal only to itself, and holding a read-only copy of the given weights."""
 
     weights: np.ndarray  # 1-d floats, non-increasing in [0, 1], first entry exactly 1
     p: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-d sequence")

@@ -62,7 +62,7 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharpNormSpec:
     """One case's auxiliary norm (sum_i coefficients_i x_[i]^exponent)^(1/exponent),
     its quantile level S and its comparison factor K."""

@@ -127,16 +127,39 @@ REPORT_SHA256 = {
     "simulate --weights-file weights.txt --p 2 --k 2 --seed 3 --samples 200 "
     "--directions 100":
         "477c9387b3e861b993d2c46c043dd4e3312050981020379cfd0e380c96d913f9",
+    "calibrate --bound-name power_log_sum --target two_sided_ratio "
+    "--grid-file log_sum.json --seed 5 --validation-seed 6":
+        "9dea25ee731954fec52ad95a2d0f55c2ad43007cbfa95512c582af0a5ec3ac10",
+    "calibrate --bound-name incomplete_gamma_decay --target two_sided_ratio "
+    "--grid-file gamma.json --seed 5 --validation-seed 6":
+        "c94505f28dce0175044ac102aea1978c212cc2981bdb4ffec48e04c3d3e3d34f",
+    "calibrate --bound-name incomplete_gamma_growth --target two_sided_ratio "
+    "--grid-file gamma.json --seed 5 --validation-seed 6":
+        "0591fcdd91fc869290b021c2d296d37e401c0f98c157b7c89edfca9843de6d8f",
+    "calibrate --bound-name power_integral --target two_sided_ratio "
+    "--grid-file integral.json --seed 5 --validation-seed 6":
+        "874ffdeedd9277ea1e35fd7b7c37f6f4cc6b16f3c8f6bacf6a78a8c1afc23a99",
+    "calibrate --bound-name median_psi --target two_sided_ratio "
+    "--grid-file median_psi.json --seed 5 --validation-seed 6":
+        "ae8d353f725e4d074bb482195fb209d8bbaa73bb938b2c65a36e49989256f544",
 }
+# the grid files of the two-sided calibrations above
+GRID_FILES = {"log_sum.json": [[0, 0, 100], [0.5, 1, 1000], [2, 1, 10000]],
+              "gamma.json": [[2, 1], [5, 0.5], [0.5, 3]],
+              "integral.json": [[0.3, 10], [1, 100], [2, 1000]],
+              "median_psi.json": [[0.3, 1.5, 100], [0.5, 2, 300], [1.2, 1.1, 50]]}
 
 
 @pytest.mark.parametrize("command", REPORT_SHA256)
 def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
     """The report of each command holds the same bytes as when it was pinned.
-    The digests hold for numpy 2.4.6, as reports/ does; the weights file is
-    given by a relative path because the path is echoed in the config."""
+    The digests hold for numpy 2.4.6, as reports/ does; the weights and grid
+    files are given by relative paths because the paths are echoed in the
+    config."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weights.txt").write_text("1\n0.5\n0.25\n0.125\n")
+    for name, grid in GRID_FILES.items():
+        (tmp_path / name).write_text(json.dumps(grid))
     code, _, _ = run(command.split() + ["--output", "report.json"], capsys)
     assert code == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()

@@ -81,6 +81,19 @@ class TestWeightSequence:
         params = LorentzParams([1, 1, 0], 2.0)
         assert params.weights.dtype == float and params.n == 3
 
+    def test_owns_a_read_only_copy_of_its_weights(self):
+        w = np.array([1.0, 0.5])
+        params = LorentzParams(w, 1.0)
+        w[0] = 7.0
+        assert lorentz_norm(params, [1.0, 0.0]) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            power_params(0.3, 2.0, 5).weights[1] = 5.0
+
+    def test_compares_by_identity(self):
+        a, b = power_params(0.3, 2.0, 5), power_params(0.3, 2.0, 5)
+        assert a == a and not a == b
+        assert len({a, b}) == 2
+
 
 class TestLorentzNorm:
     def test_euclidean_case(self):

@@ -295,3 +295,12 @@ class TestLedger:
         unread = [name for name in KNOWN_CONSTANTS
                   if f'ledger.get("{name}")' not in text]
         assert unread == []
+
+    def test_owns_a_read_only_copy_of_its_values(self):
+        values = {"c_dim": 2.0}
+        ledger = ConstantLedger(values)
+        values["c_dim"] = -3.0
+        assert ledger.get("c_dim") == 2.0
+        assert milman_dimension(1.0, 1.0, 0.1, ledger) > 0
+        with pytest.raises(TypeError):
+            ledger.values["c_dim"] = 1.0

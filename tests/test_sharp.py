@@ -41,6 +41,11 @@ class TestGradFunctional:
 
 
 class TestSharpNorm:
+    def test_spec_compares_by_identity(self):
+        a, b = make_sharp_spec("I", 0.3, 2.0, 5), make_sharp_spec("I", 0.3, 2.0, 5)
+        assert a == a and not a == b
+        assert len({a, b}) == 2
+
     def test_case_I_euclidean(self, rng):
         spec = make_sharp_spec("I", 0.0, 2.0, 12)
         x = rng.standard_normal(12)
