@@ -88,26 +88,28 @@ _OPTIONS = {
 
 
 def _reads(names: str, **defaults) -> dict:
-    return {**dict.fromkeys(names.split()), **defaults}
+    return {**{name.rstrip("!"): ... if name.endswith("!") else None
+               for name in names.split()}, **defaults}
 
 
-# dispatch key -> the options it reads, each with its default (None: none);
-# the parser, the --config check, the defaults and the echoed config follow it
+# dispatch key -> the options it reads with their defaults (None: none; ...:
+# required, marked "!"), which the parser, the --config check and the echoed
+# config follow; _get_params takes one of r and weights_file, and n with r.
 _READS = {
-    "bound": _reads("r p n eps ledger_file"),
-    "classify": _reads("r p", n=10 ** 4),
-    "simulate": _reads("r weights_file p n k master_seed", samples=10 ** 4,
+    "bound": _reads("r! p! n! eps! ledger_file"),
+    "classify": _reads("r! p!", n=10 ** 4),
+    "simulate": _reads("r weights_file p! n k! master_seed!", samples=10 ** 4,
                        directions=10 ** 4, mode="random_sphere"),
-    "verify --kind orderorder": _reads("case r p n master_seed ledger_file",
+    "verify --kind orderorder": _reads("case! r! p! n! master_seed! ledger_file",
                                        t=3.0, trials=10 ** 4),
-    "verify --kind embedding": _reads("r weights_file p n k eps master_seed "
+    "verify --kind embedding": _reads("r weights_file p! n k! eps! master_seed! "
                                       "min_success", trials=100, directions=10 ** 4),
     "calibrate --target success_rate": _reads(
-        "bound_name r p n eps master_seed validation_seed",
+        "bound_name! r! p! n! eps! master_seed! validation_seed!",
         trials=100, directions=10 ** 4),
     "calibrate --target two_sided_ratio": _reads(
-        "bound_name grid_file master_seed validation_seed"),
-    "probe": _reads("r p n eps_grid master_seed", trials=20, directions=2000),
+        "bound_name! grid_file! master_seed! validation_seed!"),
+    "probe": _reads("r! p! n! eps_grid! master_seed!", trials=20, directions=2000),
 }
 
 
@@ -142,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """The defaults of the command's _READS entry, then the --config file,
-    then the flags; a null counts as absent, an option it does not read or
-    a float option that is not finite is an error."""
+    then the flags; a null counts as absent, and an option it does not read, a
+    float option that is not finite or a missing required one is an error."""
     given = _read_json(args.config) if args.config else {}
     if not isinstance(given, dict):
         raise UsageError("config must be a JSON object")
@@ -168,13 +170,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         kind = _OPTIONS.get(name, {}).get("type")
         if kind is float and not abs(given[name]) <= sys.float_info.max:
             raise UsageError(f"{name} must be finite, got {given[name]}")
+    missing = [name + " (pass --seed)" if name == "master_seed" else name
+               for name, default in _READS[key].items()
+               if default is ... and name not in given]
+    if missing:
+        noun = "options" if len(missing) > 1 else "option"
+        raise UsageError(f"missing required {noun}: {', '.join(missing)}")
     return {**_READS[key], **given}
-
-
-def _require(config: dict, *names):
-    for name in names:
-        if config[name] is None:
-            raise UsageError(f"missing required option: {name}")
 
 
 def _get_params(config: dict) -> LorentzParams:
@@ -182,24 +184,18 @@ def _get_params(config: dict) -> LorentzParams:
     has_wf = config["weights_file"] is not None
     if has_r == has_wf:
         raise UsageError("exactly one of r / weights_file must be given")
-    _require(config, "p")
     if has_wf:
         if config["n"] is not None:
             raise UsageError("n is set by weights_file; give only one of them")
         return LorentzParams(_load_weights_file(config), config["p"])
-    _require(config, "n")
+    if config["n"] is None:
+        raise UsageError("missing required option: n")
     return power_params(config["r"], config["p"], config["n"])
 
 
 def _get_ledger(config: dict) -> ConstantLedger:
     path = config.get("ledger_file")
     return DEFAULT_LEDGER if path is None else ConstantLedger.from_json(path)
-
-
-def _get_stream(config: dict) -> RandomStream:
-    if config["master_seed"] is None:
-        raise UsageError("missing required option: master_seed (pass --seed)")
-    return RandomStream(config["master_seed"])
 
 
 def _emit(config: dict, ledger: ConstantLedger, payload: dict):
@@ -224,20 +220,17 @@ def _emit(config: dict, ledger: ConstantLedger, payload: dict):
 
 
 def _cmd_bound(config: dict, ledger: ConstantLedger) -> tuple:
-    _require(config, "r", "p", "n", "eps")
     return compute_bound_report(config["r"], config["p"], config["n"],
                                 config["eps"], ledger), EXIT_OK
 
 
 def _cmd_classify(config: dict, ledger: ConstantLedger) -> tuple:
-    _require(config, "r", "p")
     return classify_case(config["r"], config["p"], config["n"]), EXIT_OK
 
 
 def _cmd_simulate(config: dict, ledger: ConstantLedger) -> tuple:
     params = _get_params(config)
-    _require(config, "k")
-    stream = _get_stream(config)
+    stream = RandomStream(config["master_seed"])
     k, mode = config["k"], config["mode"]
     _check_counts(directions=config["directions"])
     _check_k(params.n, k)
@@ -250,16 +243,14 @@ def _cmd_simulate(config: dict, ledger: ConstantLedger) -> tuple:
 
 
 def _cmd_verify(config: dict, ledger: ConstantLedger) -> tuple:
-    stream = _get_stream(config)
+    stream = RandomStream(config["master_seed"])
     if config["kind"] == "orderorder":
-        _require(config, "case", "r", "p", "n")
         result = verify_orderorder(config["case"], config["r"], config["p"],
                                    config["n"], config["t"], config["trials"],
                                    ledger, stream)
         return result, EXIT_OK if result.implication_violations == 0 else EXIT_ASSERTION
     # embedding
     params = _get_params(config)
-    _require(config, "k", "eps")
     min_success = config["min_success"]
     if min_success is not None and not 0.0 <= min_success <= 1.0:
         raise UsageError(f"min_success must lie in [0, 1], got {min_success}")
@@ -270,19 +261,16 @@ def _cmd_verify(config: dict, ledger: ConstantLedger) -> tuple:
 
 
 def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
-    stream = _get_stream(config)
-    _require(config, "validation_seed")
+    stream = RandomStream(config["master_seed"])
     validation = RandomStream(config["validation_seed"])
     name = config["bound_name"]
     if config["target"] == "success_rate":
         if name != "embedding_dimension":
             raise UsageError("target success_rate supports only bound_name "
                              "embedding_dimension")
-        _require(config, "r", "p", "n", "eps")
         return calibrate_embedding_dimension(
             config["r"], config["p"], config["n"], config["eps"],
             config["trials"], config["directions"], stream, validation), EXIT_OK
-    _require(config, "grid_file")
     grid = _read_json(config["grid_file"])
     if not isinstance(grid, list) or not all(map(_is_number_list, grid)):
         raise UsageError("grid_file must hold a JSON list of lists of numbers")
@@ -290,8 +278,7 @@ def _cmd_calibrate(config: dict, ledger: ConstantLedger) -> tuple:
 
 
 def _cmd_probe(config: dict, ledger: ConstantLedger) -> tuple:
-    stream = _get_stream(config)
-    _require(config, "r", "p", "n", "eps_grid")
+    stream = RandomStream(config["master_seed"])
     raw = config["eps_grid"]
     eps_grid = ([_parse_float(v, "eps_grid entry") for v in raw.split(",")]
                 if isinstance(raw, str) else raw)

@@ -63,6 +63,14 @@ class DistortionReport:
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
 
+def _deviations(G: np.ndarray, params: LorentzParams, M: float,
+                directions: np.ndarray) -> np.ndarray:
+    """| |G theta| / M - 1 | for each unit column theta of directions."""
+    if M <= 0.0:
+        raise ValueError("M must be positive")
+    return np.abs(lorentz_norm_images(params, G, directions) / M - 1.0)
+
+
 def measure_distortion(
     G: np.ndarray,
     params: LorentzParams,
@@ -70,18 +78,14 @@ def measure_distortion(
     directions: np.ndarray,
     test_mode: str = "random_sphere",
 ) -> DistortionReport:
-    """Per-direction relative deviation | |G theta| / M - 1 | over unit columns,
-    for an (n, k) matrix G."""
-    if M <= 0.0:
-        raise ValueError("M must be positive")
-    norms = lorentz_norm_images(params, G, directions)
-    devs = np.abs(norms / M - 1.0)
+    """The maximum and quantiles of _deviations(G, params, M, directions)."""
+    devs = _deviations(G, params, M, directions)
     quantiles = {str(lv): float(np.quantile(devs, lv)) for lv in QUANTILE_LEVELS}
     return DistortionReport(
         M_used=M,
         max_rel_dev=float(np.max(devs)),
         quantiles=quantiles,
-        direction_count=norms.size,
+        direction_count=devs.size,
         test_mode=test_mode,
     )
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytic
 from .constants import ConstantLedger
-from .embedding import (_check_k, measure_distortion, sample_gaussian_matrix,
+from .embedding import (_check_k, _deviations, sample_gaussian_matrix,
                         test_directions)
 from .norms import _blocked_sums
 from .params import LorentzParams, power_params
@@ -165,7 +165,7 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
     from stream.substream(0).  The directions come from stream.substream(1),
     trial j's matrix from stream.substream(2 + j), and the trial's max
-    deviation is measure_distortion's max_rel_dev.
+    deviation is the largest of its embedding._deviations.
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
@@ -174,8 +174,8 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
     max_devs = np.array([
-        measure_distortion(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
-                           params, M, dirs).max_rel_dev for j in range(trials)])
+        np.max(_deviations(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
+                           params, M, dirs)) for j in range(trials)])
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
@@ -214,18 +214,18 @@ def _incomplete_gamma(sign: str):
     return evaluate
 
 
-# The named two-sided estimates: name -> (arity, evaluate), where
-# evaluate(*point, stream) -> (true, shape) at a grid point of arity values.
+# The named two-sided estimates: name -> (coordinates, evaluate), with
+# evaluate(*point, stream) -> (true, shape); a coordinate n is a whole number.
 # Every shape is a closed form; only median_psi draws from its stream.
 _RATIO_ORACLES = {
-    "power_log_sum": (3, lambda a, q, n, stream: (
+    "power_log_sum": (("a", "q", "n"), lambda a, q, n, stream: (
         analytic.power_log_sum_exact(a, q, int(n)),
         analytic.power_log_sum_shape(a, q, int(n)))),
-    "power_integral": (2, lambda a, T, stream: (
+    "power_integral": (("a", "T"), lambda a, T, stream: (
         analytic.power_integral_exact(a, T), analytic.power_integral_shape(a, T))),
-    "incomplete_gamma_decay": (2, _incomplete_gamma("decay")),
-    "incomplete_gamma_growth": (2, _incomplete_gamma("growth")),
-    "median_psi": (3, lambda r, p, n, stream: (
+    "incomplete_gamma_decay": (("b", "q"), _incomplete_gamma("decay")),
+    "incomplete_gamma_growth": (("b", "q"), _incomplete_gamma("growth")),
+    "median_psi": (("r", "p", "n"), lambda r, p, n, stream: (
         estimate_median_psi(power_params(r, p, int(n)), 4000, stream),
         analytic.median_psi_shape(r, p, int(n)))),
 }
@@ -248,11 +248,13 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     if bound_name not in _RATIO_ORACLES:
         raise ValueError(f"unknown two-sided bound {bound_name!r}; "
                          f"known: {sorted(_RATIO_ORACLES)}")
-    arity, evaluate = _RATIO_ORACLES[bound_name]
+    coordinates, evaluate = _RATIO_ORACLES[bound_name]
     for point in param_grid:
-        if len(point) != arity:
+        if len(point) != len(coordinates):
             raise ValueError(f"grid_file point {list(point)}: {bound_name} "
-                             f"takes {arity} values")
+                             f"takes {len(coordinates)} values")
+        if "n" in coordinates and point[coordinates.index("n")] % 1 != 0:
+            raise ValueError(f"grid_file point {list(point)}: n must be an integer")
 
     def evaluated(stream: RandomStream) -> list:
         """(true, shape) at each grid point with shape > 0; point j draws
@@ -289,23 +291,21 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
 def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
                           directions: int, threshold: float,
                           stream: RandomStream, M: float,
-                          k_cap: int) -> tuple[int, dict]:
-    """Binary search (to +-1) for the largest k whose success rate meets threshold.
-
-    Fresh substreams per probed k avoid adaptive bias.  Returns 0 when even
-    k = 1 fails.  Also returns the success rates observed per probed k.
-    """
+                          k_cap: int) -> dict:
+    """The success rate at each k that a binary search (to +-1) for the
+    largest passing k probes, keyed by ascending k; _k_star reads that k.
+    Fresh substreams per probed k avoid adaptive bias.  k = 1 is probed
+    first, even where k_cap is 0, and alone when it fails."""
     observed = {}
 
-    def success_rate(k: int) -> float:
-        if k not in observed:
-            res = verify_embedding(params, k, eps, trials, directions,
-                                   stream.substream(k), M=M)
-            observed[k] = res.success_rate
+    def success_rate(k: int) -> float:  # no k is probed twice
+        res = verify_embedding(params, k, eps, trials, directions,
+                               stream.substream(k), M=M)
+        observed[k] = res.success_rate
         return observed[k]
 
     if success_rate(1) < threshold:
-        return 0, observed
+        return observed
     lo = 1
     hi = 2
     while hi <= k_cap and success_rate(hi) >= threshold:
@@ -319,7 +319,12 @@ def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
             lo = mid
         else:
             hi = mid
-    return lo, observed
+    return dict(sorted(observed.items()))
+
+
+def _k_star(rates: dict, threshold: float) -> int:
+    """The largest k in rates whose rate meets threshold, or 0."""
+    return max((k for k, rate in rates.items() if rate >= threshold), default=0)
 
 
 def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
@@ -345,11 +350,12 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
     shape = corollary_dimension_rp(r, p, n, eps)
     k_cap = min(n, max(4, math.ceil(shape * (1.0 - 1e-9))))
     M = estimate_median_norm(params, MEDIAN_SAMPLES, fit_stream.substream(10 ** 6))
-    k_star, observed = _largest_successful_k(params, eps, trials, directions,
-                                             CALIBRATE_THRESHOLD, fit_stream, M, k_cap)
+    rates = _largest_successful_k(params, eps, trials, directions,
+                                  CALIBRATE_THRESHOLD, fit_stream, M, k_cap)
+    k_star = _k_star(rates, CALIBRATE_THRESHOLD)
     if k_star == 0:
         raise ValueError("bound never satisfiable on grid: success rate below "
-                         f"threshold even at k = 1 (rates: {observed})")
+                         f"threshold even at k = 1 (rates: {rates})")
     k_use = max(1, int(CALIBRATE_SAFETY * k_star))
     fitted = k_use / shape
     val = verify_embedding(params, k_use, eps, trials, directions,
@@ -365,7 +371,7 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
                  "k_cap": k_cap, "capped": k_star >= k_cap,
                  "validation_success_rate": val.success_rate,
                  "validation_ci_low": val.ci_low,
-                 "fit_rates": {str(k): v for k, v in sorted(observed.items())}},
+                 "fit_rates": {str(k): v for k, v in rates.items()}},
     )
 
 
@@ -403,14 +409,10 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     params = power_params(r, p, n)
     M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(10 ** 6))
 
-    k_stars = []
-    probed = []  # (eps index, k, success rate): eps in grid order, then ascending k
-    for j, eps in enumerate(eps_grid):
-        k_star, observed = _largest_successful_k(
-            params, eps, trials, directions, PROBE_THRESHOLD,
-            stream.substream(j), M, k_cap)
-        k_stars.append(k_star)
-        probed += [(j, k, observed[k]) for k in sorted(observed)]
+    searches = [_largest_successful_k(params, eps, trials, directions,
+                                      PROBE_THRESHOLD, stream.substream(j), M, k_cap)
+                for j, eps in enumerate(eps_grid)]
+    k_stars = [_k_star(search, PROBE_THRESHOLD) for search in searches]
     saturated = any(k >= k_cap for k in k_stars)
 
     def fit_slope(ks):
@@ -425,15 +427,13 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
 
     slope = fit_slope(k_stars)
     rng = stream.substream(10 ** 6 + 1).generator()
-    counts = rng.binomial(trials, [rate for _, _, rate in probed],
-                          (BOOTSTRAP_RESAMPLES, len(probed)))
+    rates = [rate for search in searches for rate in search.values()]
+    counts = rng.binomial(trials, rates, (BOOTSTRAP_RESAMPLES, len(rates)))
     boot = []
     for row in counts:
-        ks_b = [0] * len(eps_grid)
-        for (j, k, _), count in zip(probed, row):
-            if count / trials >= PROBE_THRESHOLD:
-                ks_b[j] = k  # k ascends within an eps: the last pass is the largest
-        s = fit_slope(ks_b)
+        resampled = iter(row / trials)  # each zip below stops at its search's end
+        s = fit_slope([_k_star(dict(zip(search, resampled)), PROBE_THRESHOLD)
+                       for search in searches])
         if s is not None:
             boot.append(s)
     if len(boot) < 100 or slope is None:

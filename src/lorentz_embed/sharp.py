@@ -40,20 +40,16 @@ def _grad_weights(r: float, n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=float) ** (-2.0 * r)
 
 
-def _check_case_iv_family(r: float, p: float):
-    if not _on_iv_boundary(r, p):
-        raise ValueError(f"Case IV requires p = 2(1-r); got p={p}, r={r}")
-    if not (0.25 < r <= 0.5):
-        raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")
-
-
 def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     """The Case IVa weights beta_i over 1 <= i <= floor(n/e).
 
     beta_i = (1-2r)^p ln(n) / n^(1-2r) * i^(-2r) (ln(n/i))^(p-1) + 1/i.
     Requires p = 2(1-r) with r in (1/4, 1/2] and (1-2r) ln(n) >= e.
     """
-    _check_case_iv_family(r, p)
+    if not _on_iv_boundary(r, p):
+        raise ValueError(f"Case IV requires p = 2(1-r); got p={p}, r={r}")
+    if not (0.25 < r <= 0.5):
+        raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")
     if (1.0 - 2.0 * r) * math.log(n) < math.e:
         raise ValueError("(1-2r) ln n < e: Case IVa does not apply, use Case IVb "
                          "(Euclidean) instead")
@@ -65,7 +61,8 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SharpNormSpec:
     """One case's auxiliary norm (sum_i coefficients_i x_[i]^exponent)^(1/exponent),
-    its quantile level S and its comparison factor K."""
+    its quantile level S and its comparison factor K; equal only to itself,
+    and holding a read-only copy of the given coefficients."""
 
     case: str
     n: int
@@ -74,10 +71,16 @@ class SharpNormSpec:
     S: float
     K: float
 
+    def __post_init__(self):
+        c = np.array(self.coefficients, dtype=float)
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
+
 
 def _check_classified(case: str, r: float, p: float, n: int):
-    """Reject a case that classify_case does not give; r > 2 lies outside its map."""
-    expected = classify_case(r, p, n).orderorder if r <= 2.0 else case
+    """Reject a case other than the one classify_case gives; above r = 2, where
+    its map ends, the one it gives at r = 2 (I for p >= 3/2, else II)."""
+    expected = classify_case(min(r, 2.0), p, n).orderorder
     if case != expected:
         raise ValueError(f"case {case!r} does not match (r={r}, p={p}, n={n}): "
                          f"expected {expected!r}")
@@ -85,8 +88,8 @@ def _check_classified(case: str, r: float, p: float, n: int):
 
 def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
                     ledger: ConstantLedger = DEFAULT_LEDGER) -> SharpNormSpec:
-    """Build one case's auxiliary norm with its S and K, after checking the
-    case's preconditions and that the case is the one classify_case gives.
+    """Build one case's auxiliary norm with its S and K, after checking that
+    the case is the one classify_case gives (_check_classified).
 
     Case I's norm is the 2(p-1)-th root of the gradient sum (K = 1).  Cases
     II and IVa restrict the sum to i <= floor(n/e) by block comparison of the
@@ -95,17 +98,13 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
     over the full range, and Case IVb is Hoelder against the Euclidean norm
     using 2r = 2 - p.  S carries the ledger constant C_sharp.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if t <= 0.0:
         raise ValueError("t must be positive")
+    _check_classified(case, r, p, n)
     C = ledger.get("C_sharp")
     ln = math.log(n)
     q = 2.0 * (p - 1.0)
     if case == "I":
-        if p < 1.5:
-            raise ValueError("Case I requires p >= 3/2")
-        _check_classified(case, r, p, n)
         if r <= 0.5:
             A = C ** p * p ** p * n ** (1.0 - 2.0 * r) * ln ** p \
                 / (p + (1.0 - 2.0 * r) * ln) ** p
@@ -120,28 +119,19 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
         S = (A + B * t ** q) ** (1.0 / q)
         return SharpNormSpec(case, n, _grad_weights(r, n), q, S, 1.0)
     if case == "II":
-        if not (1.0 <= p < 1.5):
-            raise ValueError("Case II requires 1 <= p < 3/2")
-        if n < 3:
-            raise ValueError("Case II requires n >= 3")
-        _check_classified(case, r, p, n)
         i = np.arange(1, int(n / math.e) + 1, dtype=float)
         T = float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
         coeff = i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (-(3.0 - 2.0 * p) / 2.0)
         K = math.ceil(n / i.size) * T ** (3.0 - 2.0 * p)
         return SharpNormSpec(case, n, coeff, 1.0, C * T, K)
     if case == "III":
-        if not (1.0 <= p < 1.5 - 2.0 * r):
-            raise ValueError("Case III requires p < 3/2 - 2r")
-        _check_classified(case, r, p, n)
         coeff = _grad_weights(r, n)
         S = C * n ** (1.0 - 2.0 * r) + C * n ** ((1.0 - 4.0 * r) / 2.0) \
             * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** 0.5 * t
         return SharpNormSpec(case, n, coeff, 1.0, S,
                              float(np.sum(coeff) ** (3.0 - 2.0 * p)))
     if case == "IVa":
-        beta = beta_weights(r, p, n)  # validates the sub-case conditions
-        _check_classified(case, r, p, n)
+        beta = beta_weights(r, p, n)
         i = np.arange(1, beta.size + 1, dtype=float)
         coeff = beta ** (-(3.0 - 2.0 * p) / (2.0 * (p - 1.0))) * i ** (-r / (p - 1.0))
         S = C ** (1.0 / (p - 1.0)) * (1.0 - 2.0 * r) ** (-p / q) \
@@ -149,15 +139,10 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
             + C ** (1.0 / (p - 1.0)) * ln ** 0.5 * t
         K = math.ceil(n / beta.size) * float(np.sum(beta)) ** (3.0 - 2.0 * p)
         return SharpNormSpec(case, n, coeff, 1.0, S, K)
-    if case == "IVb":
-        _check_case_iv_family(r, p)
-        if (1.0 - 2.0 * r) * ln >= math.e:
-            raise ValueError("(1-2r) ln n >= e: use Case IVa instead")
-        _check_classified(case, r, p, n)
-        harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
-        return SharpNormSpec(case, n, np.ones(n), 2.0, C * n ** 0.5 + t,
-                             harmonic ** (2.0 - p))
-    raise ValueError(f"unknown case {case!r}")
+    # IVb
+    harmonic = float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
+    return SharpNormSpec(case, n, np.ones(n), 2.0, C * n ** 0.5 + t,
+                         harmonic ** (2.0 - p))
 
 
 def sharp_norm(spec: SharpNormSpec, x):

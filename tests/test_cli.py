@@ -86,7 +86,26 @@ class TestSeedHandling:
         code, out, err = run(["simulate", "--r", "0", "--p", "2",
                               "--n", "50", "--k", "3"], capsys)
         assert code == 1
-        assert "master_seed" in err
+        assert err == "error: missing required option: master_seed (pass --seed)\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--r", "0", "--p", "3"], "missing required options: n, eps"),
+        (["probe", "--r", "0", "--p", "2", "--n", "50"],
+         "missing required options: eps_grid, master_seed (pass --seed)"),
+        (["calibrate", "--bound-name", "power_log_sum", "--target",
+          "two_sided_ratio"],
+         "missing required options: grid_file, master_seed (pass --seed), "
+         "validation_seed"),
+    ])
+    def test_missing_options_named_together(self, argv, message, monkeypatch,
+                                            capsys):
+        def no_draws(self):
+            raise AssertionError("sampled before the missing options were named")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_bound_does_not_require_seed(self, capsys):
         code, _, _ = run(["bound", "--r", "0.2", "--p", "1.5", "--n", "1000",
@@ -483,7 +502,9 @@ class TestCalibrateAndProbe:
     @pytest.mark.parametrize("bound_name, point, message", [
         ("incomplete_gamma_growth", [1000, 1], "does not evaluate to finite numbers"),
         ("power_log_sum", [0, 2], "power_log_sum takes 3 values"),
-    ], ids=["overflow", "arity"])
+        ("power_log_sum", [0, 0, 100.9], "n must be an integer"),
+        ("median_psi", [0.3, 1.5, 100.5], "n must be an integer"),
+    ], ids=["overflow", "arity", "fractional-n", "fractional-n-sampled"])
     def test_grid_point_the_oracle_cannot_evaluate(self, bound_name, point, message,
                                                     tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,6 +349,48 @@ class TestCalibrateEmbeddingDimension:
         rec = calibrate_embedding_dimension(0.0, 1.5, 100, 0.2, 20, 200,
                                             RandomStream(1), RandomStream(2))
         assert rec.details["k_cap"] == 4
+
+
+# (which k pass, k_cap) -> (the k the binary search probes, in order, and
+# the k it stops at), as recorded when the search still returned that k
+# itself; every pattern but "all" and "none" is non-monotone in k
+PASSES = {
+    "not-multiple-of-3": lambda k: k % 3 != 0,
+    "odd-or-below-6": lambda k: k % 2 == 1 or k < 6,
+    "scattered": lambda k: k in {1, 2, 4, 6, 7, 13, 19},
+    "only-1": lambda k: k == 1,
+    "all": lambda k: True,
+    "none": lambda k: False,
+}
+SEARCHES = [
+    ("not-multiple-of-3", 31, (1, 2, 4, 8, 16, 24, 20, 22, 23), 23),
+    ("not-multiple-of-3", 20, (1, 2, 4, 8, 16, 18, 17), 17),
+    ("odd-or-below-6", 20, (1, 2, 4, 8, 6, 5), 5),
+    ("scattered", 31, (1, 2, 4, 8, 6, 7), 7),
+    ("scattered", 7, (1, 2, 4, 6, 7), 7),
+    ("only-1", 7, (1, 2), 1),
+    ("all", 31, (1, 2, 4, 8, 16, 24, 28, 30, 31), 31),
+    ("all", 0, (1,), 1),  # k = 1 is probed even under a cap of 0
+    ("none", 7, (1,), 0),
+]
+
+
+class TestKSearch:
+    @pytest.mark.parametrize("pattern, k_cap, probes, k_star", SEARCHES,
+                             ids=[f"{p}-cap{c}" for p, c, _, _ in SEARCHES])
+    def test_probes_and_k_star(self, pattern, k_cap, probes, k_star, monkeypatch):
+        probed = []
+
+        def stub(params, k, eps, trials, directions, stream, M=None):
+            probed.append(k)
+            return SimpleNamespace(success_rate=0.95 if PASSES[pattern](k) else 0.5)
+
+        monkeypatch.setattr(montecarlo, "verify_embedding", stub)
+        rates = montecarlo._largest_successful_k(None, 0.2, 10, 10, 0.9,
+                                                 RandomStream(0), 1.0, k_cap)
+        assert tuple(probed) == probes
+        assert list(rates) == sorted(probes)
+        assert montecarlo._k_star(rates, 0.9) == k_star
 
 
 class TestScalingProbe:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed import (beta_weights, grad_functional, make_sharp_spec,
-                           sharp_norm)
+from lorentz_embed import (beta_weights, classify_case, grad_functional,
+                           make_sharp_spec, sharp_norm)
+from lorentz_embed.sharp import SharpNormSpec
 from oracle import weighted_power_sum
 
 # one representative (r, p) per case, all valid at n = 10^4
@@ -96,6 +97,17 @@ class TestSharpNorm:
         with pytest.raises(ValueError):
             make_sharp_spec("IVa", 0.3, 1.3, 100)  # p != 2(1-r)
 
+    def test_coefficients_are_a_read_only_copy(self):
+        spec = make_sharp_spec("I", 0.3, 2.0, 5)
+        x = [1.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            spec.coefficients[0] = -4.0
+        assert sharp_norm(spec, x) == 1.0
+        given = np.ones(3)
+        spec = SharpNormSpec("IVb", 3, given, 2.0, 1.0, 1.0)
+        given[0] = 7.0
+        assert sharp_norm(spec, [1.0, 0.0, 0.0]) == 1.0
+
     def test_columns_match_scalar(self, rng):
         for case, (r, p) in CASE_PARAMS.items():
             n = 10 ** 4 if case == "IVa" else 200
@@ -113,6 +125,48 @@ class TestSharpNorm:
                     expected = weighted_power_sum(spec.coefficients, x, 1.0)
                 assert cols[j] == pytest.approx(expected, rel=1e-10)
                 assert sharp_norm(spec, x) == pytest.approx(expected, rel=1e-10)
+
+
+# r on every case boundary (1/4: the IV family's end and III's; 1/2 and 1:
+# the bands; 2: the map's end), within 1e-12 of them, and above r = 2
+GATE_R = [0.0, 0.1, 0.25 - 1e-13, 0.25, 0.25 + 1e-13, 0.3, 0.45, 0.5,
+          0.5 + 4e-13, 0.7, 1.0, 2.0, 2.0 + 1e-9, 2.5, 10.0]
+# n on the IVa/IVb boundary at r = 0.3, where (1-2r) ln n = e near n = 889.8
+GATE_N = [2, 3, 100, 889, 890]
+
+
+def gate_points():
+    for r in GATE_R:
+        ps = [0.9, 1.0, 1.2, 1.5 - 1e-13, 1.5, 2.0, 3.0, math.inf,
+              2.0 - 2.0 * r, 2.0 - 2.0 * r - 5e-13, 1.5 - 2.0 * r,
+              1.5 - 2.0 * r + 1e-13]
+        for p in ps:
+            for n in GATE_N:
+                yield r, p, n
+
+
+class TestCaseGate:
+    def test_accepts_exactly_the_classified_case(self):
+        for r, p, n in gate_points():
+            try:
+                expected = {classify_case(min(r, 2.0), p, n).orderorder}
+            except ValueError:
+                expected = set()
+            if expected == {"IVa"} and r <= 0.25:
+                expected = set()  # beta_weights keeps its own r > 1/4
+            accepted = set()
+            for case in CASE_PARAMS:
+                try:
+                    make_sharp_spec(case, r, p, n)
+                    accepted.add(case)
+                except ValueError:
+                    pass
+            assert accepted == expected, (r, p, n)
+
+    @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
+    def test_rejects_nan_r(self, case):
+        with pytest.raises(ValueError, match="r must lie in"):
+            make_sharp_spec(case, math.nan, 2.0, 100)
 
 
 class TestBetaWeights:
