@@ -214,13 +214,18 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list
     return _blocked_sums(pairs, n, m, fill, _block_bounds(n, m))
 
 
+def _evaluate(n: int, x, pair: tuple, power: float = 1.0):
+    """(sum_i c_i x_[i]^q)^power for (c, q) = pair of an n-vector (a float),
+    or of each column of an (n, m) matrix (an array), x checked by _checked."""
+    x = _checked(n, x)
+    values = _power_sums([pair], x.reshape(n, -1))[0] ** power
+    return float(values[0]) if x.ndim == 1 else values
+
+
 def lorentz_norm(params: LorentzParams, x):
     """(sum_i w_i x_[i]^p)^(1/p) of an n-vector (a float), or of each column
     of an (n, m) matrix (an array)."""
-    x = _checked(params.n, x)
-    norms = _power_sums([(params.weights, params.p)],
-                        x.reshape(params.n, -1))[0] ** (1.0 / params.p)
-    return float(norms[0]) if x.ndim == 1 else norms
+    return _evaluate(params.n, x, (params.weights, params.p), 1.0 / params.p)
 
 
 def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
@@ -243,9 +248,7 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
 def psi(params: LorentzParams, x):
     """The potential sum_i w_i x_[i]^p = lorentz_norm(params, x)^p of an
     n-vector (a float), or of each column of an (n, m) matrix (an array)."""
-    x = _checked(params.n, x)
-    sums = _power_sums([(params.weights, params.p)], x.reshape(params.n, -1))[0]
-    return float(sums[0]) if x.ndim == 1 else sums
+    return _evaluate(params.n, x, (params.weights, params.p))
 
 
 @dataclass(frozen=True)

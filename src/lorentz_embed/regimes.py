@@ -33,8 +33,8 @@ def classify_case(r: float, p: float, n: int) -> RegimeCase:
     """Total, deterministic classification of (r, p) into the region map.
 
     Regions for p >= 3/2 split on r only; for 1 <= p < 3/2 the boundary family
-    p = 2 - 2r (detected within 1e-12) takes precedence, then p < 3/2 - 2r,
-    then the generic region split on r.
+    p = 2 - 2r (detected within 1e-12) with r > 1/4, the paper's Case IV,
+    takes precedence, then p < 3/2 - 2r, then the generic region split on r.
     """
     if not (0.0 <= r <= 2.0):
         raise ValueError(f"r must lie in [0, 2], got {r}")
@@ -47,7 +47,7 @@ def classify_case(r: float, p: float, n: int) -> RegimeCase:
     if p >= 1.5:
         return RegimeCase("i" + band, "I")
     # 1 <= p < 3/2
-    if _on_iv_boundary(r, p):
+    if r > 0.25 and _on_iv_boundary(r, p):
         sub = "IVa" if (1.0 - 2.0 * r) * math.log(n) >= math.e else "IVb"
         return RegimeCase("iv", sub)
     if p < 1.5 - 2.0 * r:

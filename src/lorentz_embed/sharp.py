@@ -17,17 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
-from .norms import _checked, _power_sums
-from .regimes import _on_iv_boundary, classify_case
+from .norms import _evaluate
+from .regimes import classify_case
 
 
 def grad_functional(r: float, p: float, x):
     """sum_i i^(-2r) x_[i]^(2(p-1)), the squared-gradient sum (up to p^2), of
     an n-vector (a float) or of each column of an (n, m) matrix (an array),
-    with n taken from the rows of x."""
-    x = _checked(len(x) if np.ndim(x) else 0, x)
-    sums = _power_sums([_grad_pair(r, p, len(x))], x.reshape(len(x), -1))[0]
-    return float(sums[0]) if x.ndim == 1 else sums
+    with n taken from the rows of x, for finite r >= 0 and p >= 1."""
+    if not (0.0 <= r < math.inf and 1.0 <= p < math.inf):
+        raise ValueError(f"the gradient functional needs finite r >= 0 and p >= 1, "
+                         f"got r={r}, p={p}")
+    n = len(x) if np.ndim(x) else 0
+    return _evaluate(n, x, _grad_pair(r, p, n))
 
 
 def _grad_pair(r: float, p: float, n: int) -> tuple:
@@ -44,15 +46,9 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     """The Case IVa weights beta_i over 1 <= i <= floor(n/e).
 
     beta_i = (1-2r)^p ln(n) / n^(1-2r) * i^(-2r) (ln(n/i))^(p-1) + 1/i.
-    Requires p = 2(1-r) with r in (1/4, 1/2] and (1-2r) ln(n) >= e.
+    Requires that classify_case give Case IVa (_check_classified).
     """
-    if not _on_iv_boundary(r, p):
-        raise ValueError(f"Case IV requires p = 2(1-r); got p={p}, r={r}")
-    if not (0.25 < r <= 0.5):
-        raise ValueError(f"Case IV requires r in (1/4, 1/2]; got r={r}")
-    if (1.0 - 2.0 * r) * math.log(n) < math.e:
-        raise ValueError("(1-2r) ln n < e: Case IVa does not apply, use Case IVb "
-                         "(Euclidean) instead")
+    _check_classified("IVa", r, p, n)
     A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
     i = np.arange(1, int(n / math.e) + 1, dtype=float)
     return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
@@ -148,7 +144,5 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
 def sharp_norm(spec: SharpNormSpec, x):
     """The case's auxiliary norm of an n-vector (a float), or of each column
     of an (n, m) matrix (an array)."""
-    x = _checked(spec.n, x)
-    norms = _power_sums([(spec.coefficients, spec.exponent)],
-                        x.reshape(spec.n, -1))[0] ** (1.0 / spec.exponent)
-    return float(norms[0]) if x.ndim == 1 else norms
+    return _evaluate(spec.n, x, (spec.coefficients, spec.exponent),
+                     1.0 / spec.exponent)

@@ -132,6 +132,15 @@ class TestLorentzNorm:
         with pytest.raises(ValueError, match=message):
             call(x)
 
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_vector_gives_its_column_as_a_float(self, name, rng):
+        X = rng.standard_normal((3, 5))
+        columns = NORMS[name](X)
+        for j in range(5):
+            value = NORMS[name](X[:, j])
+            assert type(value) is float
+            assert np.float64(value).tobytes() == columns[j].tobytes()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
             lorentz_norm(power_params(0.0, 2.0, 1), [])

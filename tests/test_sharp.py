@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lorentz_embed import (beta_weights, classify_case, grad_functional,
-                           make_sharp_spec, sharp_norm)
+from lorentz_embed import (RandomStream, beta_weights, classify_case,
+                           grad_functional, make_sharp_spec, sharp_norm,
+                           verify_orderorder)
+from lorentz_embed.constants import DEFAULT_LEDGER
+from lorentz_embed.regimes import RegimeCase
 from lorentz_embed.sharp import SharpNormSpec
 from oracle import weighted_power_sum
 
@@ -39,6 +43,17 @@ class TestGradFunctional:
             assert cols[j] == pytest.approx(expected, rel=1e-12)
             assert grad_functional(0.4, 1.3, X[:, j]) == pytest.approx(expected,
                                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("r, p", [(math.nan, 2.0), (-1.0, 2.0), (math.inf, 2.0),
+                                      (0.3, 0.5), (0.3, math.inf), (0.3, math.nan)])
+    def test_rejects_r_or_p_outside_its_domain(self, r, p):
+        with pytest.raises(ValueError, match=re.escape(f"got r={r}, p={p}")):
+            grad_functional(r, p, [3.0, -1.0, 2.0])
+
+    def test_domain_ends_are_in_range(self):
+        # r = 0 and p = 1: every term is 1 (0^0 = 1 as well)
+        assert grad_functional(0.0, 1.0, [3.0, -1.0, 0.0]) == 3.0
+        assert grad_functional(0.0, 2.0, [3.0, -1.0, 2.0]) == 14.0
 
 
 class TestSharpNorm:
@@ -152,8 +167,6 @@ class TestCaseGate:
                 expected = {classify_case(min(r, 2.0), p, n).orderorder}
             except ValueError:
                 expected = set()
-            if expected == {"IVa"} and r <= 0.25:
-                expected = set()  # beta_weights keeps its own r > 1/4
             accepted = set()
             for case in CASE_PARAMS:
                 try:
@@ -167,6 +180,26 @@ class TestCaseGate:
     def test_rejects_nan_r(self, case):
         with pytest.raises(ValueError, match="r must lie in"):
             make_sharp_spec(case, math.nan, 2.0, 100)
+
+
+class TestQuarterEdge:
+    """Within 1e-12 below p = 3/2 at r = 1/4 the point is on p = 2(1-r), but
+    Case IV needs r > 1/4: classify_case gives II, whose check holds, and
+    beta_weights, checked by the same map, names II."""
+
+    r, p, n = 0.25, 1.5 - 1e-13, 889
+
+    def test_classified_as_case_II(self):
+        assert classify_case(self.r, self.p, self.n) == RegimeCase("iia", "II")
+
+    def test_case_II_check_holds(self):
+        res = verify_orderorder("II", self.r, self.p, self.n, 3.0, 200,
+                                DEFAULT_LEDGER, RandomStream(22))
+        assert res.implication_violations == 0
+
+    def test_beta_weights_names_case_II(self):
+        with pytest.raises(ValueError, match="expected 'II'"):
+            beta_weights(self.r, self.p, self.n)
 
 
 class TestBetaWeights:
