@@ -84,7 +84,13 @@ _OPTIONS = {
     "validation_seed": {"type": int},
     "grid_file": {"type": str, "help": "JSON list of grid points for ratio targets"},
     "eps_grid": {"help": "comma-separated eps values"},
+    "kind": {"choices": ["orderorder", "embedding"]},
+    "target": {"choices": ["two_sided_ratio", "success_rate"]}, "bound_name": {},
 }
+
+# command -> (the option that picks its _READS entry, that option's default
+# or None where it is required)
+_SELECTORS = {"verify": ("kind", None), "calibrate": ("target", "success_rate")}
 
 
 def _reads(names: str, **defaults) -> dict:
@@ -121,11 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON object of options by name "
                                          "(e.g. master_seed); flags override it")
     sub = parser.add_subparsers(dest="command")
-    subs = {}
     for command, (_, text) in _COMMANDS.items():
-        sp = subs[command] = sub.add_parser(command, help=text)
+        sp = sub.add_parser(command, help=text)
         reads = {name for key, names in _READS.items()
                  if key.split()[0] == command for name in names}
+        reads.update(_SELECTORS.get(command, ())[:1])
         # every command parses every option, so that an unread one is
         # rejected by name; --help lists only those it reads
         for name, keywords in _OPTIONS.items():
@@ -134,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 keywords = {**keywords, "help": argparse.SUPPRESS}
             sp.add_argument(flag, dest=name, **keywords)
         sp.add_argument("--output", help="report path (default: stdout)")
-    subs["verify"].add_argument("--kind", choices=["orderorder", "embedding"],
-                                required=True)
-    subs["calibrate"].add_argument("--bound-name", required=True)
-    subs["calibrate"].add_argument("--target",
-                                   choices=["two_sided_ratio", "success_rate"])
     return parser
 
 
@@ -157,9 +158,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     given = {k: v for source in (given, flags) for k, v in source.items()
              if v is not None}
     command = given["command"]
-    if command == "calibrate":
-        given.setdefault("target", "success_rate")
-    selector = {"verify": "kind", "calibrate": "target"}.get(command)
+    selector, default = _SELECTORS.get(command, (None, None))
+    if selector and given.setdefault(selector, default) is None:
+        raise UsageError(f"missing required option: {selector}")
     key = f"{command} --{selector} {given[selector]}" if selector else command
     if key not in _READS:
         raise UsageError(f"unknown {selector}: {given[selector]}")

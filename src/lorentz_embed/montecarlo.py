@@ -245,9 +245,9 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     param_grid = tuple(map(tuple, param_grid))
     if not param_grid:
         raise ValueError("param_grid must be nonempty")
-    if bound_name not in _RATIO_ORACLES:
-        raise ValueError(f"unknown two-sided bound {bound_name!r}; "
-                         f"known: {sorted(_RATIO_ORACLES)}")
+    known = sorted(_RATIO_ORACLES)  # a list, so an unhashable name is unknown too
+    if bound_name not in known:
+        raise ValueError(f"unknown two-sided bound {bound_name!r}; known: {known}")
     coordinates, evaluate = _RATIO_ORACLES[bound_name]
     for point in param_grid:
         if len(point) != len(coordinates):
@@ -402,8 +402,9 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
     where any k* hits the cap is flagged saturated (and inconclusive).
     """
     eps_grid = tuple(float(e) for e in eps_grid)
-    if len(eps_grid) < 4 or not all(0.05 < e < 0.4 for e in eps_grid):
-        raise ValueError("grid too small: need >= 4 eps points inside (0.05, 0.4)")
+    if len(set(eps_grid)) < 4 or not all(0.05 < e < 0.4 for e in eps_grid):
+        raise ValueError("grid too small: need >= 4 distinct eps points inside "
+                         "(0.05, 0.4)")
     _check_counts(trials=trials, directions=directions)
     k_cap = min(n, math.ceil(4.0 * math.log(directions)))
     params = power_params(r, p, n)

@@ -236,11 +236,7 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
     lorentz_norm(params, (directions.T @ G.T).T) only where OpenBLAS forms
     each block's product as the rows of the whole one."""
     G = _checked(params.n, G, (2,))
-    directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a ({G.shape[1]}, m) direction matrix, "
-                         f"got shape {directions.shape}")
-    directions = _checked(G.shape[1], directions)
+    directions = _checked(G.shape[1], directions, (2,))
     power = _power_sums([(params.weights, params.p)], G, directions)[0]
     return power ** (1.0 / params.p)
 
@@ -265,13 +261,11 @@ def psi_gradient_norm(params: LorentzParams, x) -> GradientNormResult:
     flagged as a non-smooth point.
     """
     x = _checked(params.n, x, (1,))
-    w = params.weights
-    ax = np.abs(x)
-    xs = np.sort(ax)[::-1]
-    smooth = bool(np.all(xs > 0.0) and np.all(np.diff(xs) < 0.0))
+    xs = np.sort(np.abs(x))
+    smooth = bool(xs[0] > 0.0 and np.all(np.diff(xs) > 0.0))
     q = 2.0 * (params.p - 1.0)
     # numpy evaluates 0**0 as 1, which is the convention wanted at p = 1
-    value = params.p * float(np.sum(w ** 2 * xs ** q)) ** 0.5
+    value = params.p * _evaluate(params.n, x, (params.weights ** 2, q), 0.5)
     return GradientNormResult(value=value, smooth_point=smooth)
 
 

@@ -185,16 +185,11 @@ def corollary_dimension_rp(
     eps: float,
     ledger: ConstantLedger = DEFAULT_LEDGER,
 ) -> float:
-    """The improved sufficient dimension d' = c_rp min(E', F') of the simplified
-    table, for the power-weight family with r <= 1."""
+    """The improved sufficient dimension d' = c_rp min(E', F'): the smaller
+    entry of lomain_EF_simplified, for the power-weight family with r <= 1."""
     if r > 1.0:
         raise ValueError("r > 1 is excluded; use ellinfty_regime instead")
-    if not (0.0 <= r and 1.0 <= p):
-        raise ValueError("need r in [0, 1] and p >= 1")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    _check_eps(eps)
-    return ledger.get("c_rp") * min(_simplified_EF(r, p, n, eps))
+    return min(lomain_EF_simplified(r, p, n, eps, ledger))
 
 
 def general_dimension(
@@ -299,7 +294,7 @@ def compute_bound_report(
         b = lipschitz_constant(params)
         E, F = lomain_EF(r, p, n, eps, ldg)
         E_s, F_s = lomain_EF_simplified(r, p, n, eps, ldg)
-        d_prime = corollary_dimension_rp(r, p, n, eps, ldg) if r <= 1.0 else None
+        d_prime = min(E_s, F_s) if r <= 1.0 else None
         values = {
             "d": milman_dimension(M_shape, b, eps, ldg),
             "E": E,

@@ -124,6 +124,10 @@ REPORT_SHA256 = {
         "d9e45647ad5794a3e151a0fd7c4f07b64ca43f979d4566d92f919d1ebe12d298",
     "bound --r 0 --p 100 --n 10 --eps 0.1":
         "3934569e6c4373234c645d42fabc968d13e8718f664387e2feadf3507d83ed8e",
+    "bound --r 1 --p 2 --n 10000 --eps 0.1":
+        "08d48720537909884070a1f8fa6995803aa1d7fc90b8ef3ef44caef58234c7fe",
+    "bound --r 0.5 --p 1.2 --n 10000 --eps 0.1":
+        "20b4d3e3e3ee1e0cbd1f62115e40b8c122fa376e847e430545626d1a3b4ef27d",
     "classify --r 0.3 --p 1.4":
         "999de173a7565f6399aded08f89857cc7fbeb35b426a48eb15ca7412151e6f7b",
     "simulate --r 0.3 --p 1.5 --n 1000 --k 4 --seed 7":
@@ -782,6 +786,62 @@ class TestOptionTable:
         assert code == 0
         assert "--eps" in out and "--ledger-file" in out
         assert "--seed" not in out and "--weights-file" not in out
+
+    def test_help_lists_the_selector(self, capsys):
+        code, out, _ = run(["verify", "--help"], capsys)
+        assert code == 0
+        assert "--kind" in out and "--target" not in out and "--bound-name" not in out
+        code, out, _ = run(["calibrate", "--help"], capsys)
+        assert "--target" in out and "--bound-name" in out and "--kind" not in out
+
+    @pytest.mark.parametrize("argv, moved", [
+        (ORDERORDER + ["--seed", "6"], ["--kind", "orderorder"]),
+        (["calibrate", "--bound-name", "power_log_sum", "--target",
+          "two_sided_ratio", "--grid-file", "grid.json", "--seed", "5",
+          "--validation-seed", "6"], ["--bound-name", "power_log_sum"]),
+        (["calibrate", "--bound-name", "power_log_sum", "--target",
+          "two_sided_ratio", "--grid-file", "grid.json", "--seed", "5",
+          "--validation-seed", "6"], ["--target", "two_sided_ratio"]),
+    ], ids=["kind", "bound_name", "target"])
+    def test_selector_from_config_gives_the_same_report(self, argv, moved,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, [[0.0, 0.0, 100], [0.5, 1, 1000]], "grid.json")
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        i = argv.index(moved[0])
+        cfg = write_json(tmp_path, {moved[0][2:].replace("-", "_"): moved[1]})
+        code, out2, _ = run(["--config", cfg] + argv[:i] + argv[i + 2:], capsys)
+        assert code == 0
+        assert out2 == out
+
+    def test_verify_names_a_missing_kind(self, capsys):
+        code, out, err = run(self.ORDERORDER[:1] + self.ORDERORDER[3:] + ["--seed", "6"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err == "error: missing required option: kind\n"
+
+    def test_kind_is_not_read_by_bound(self, capsys):
+        code, out, err = run(["bound", "--r", "0", "--p", "3", "--n", "100",
+                              "--eps", "0.1", "--kind", "embedding"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: kind is not read by bound\n"
+
+    @pytest.mark.parametrize("target", ["two_sided_ratio", "success_rate"])
+    def test_list_bound_name_in_config(self, target, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, [[0.0, 0.0, 100]], "grid.json")
+        reads = {"two_sided_ratio": ["--grid-file", "grid.json"],
+                 "success_rate": ["--r", "0", "--p", "1.5", "--n", "100",
+                                  "--eps", "0.2"]}[target]
+        cfg = write_json(tmp_path, {"bound_name": ["x"]})
+        code, out, err = run(["--config", cfg, "calibrate", "--target", target,
+                              "--seed", "1", "--validation-seed", "2", *reads],
+                             capsys)
+        assert code == 1 and out == ""
+        assert ("unknown two-sided bound ['x']" if target == "two_sided_ratio"
+                else "supports only bound_name embedding_dimension") in err
 
 
 def readme_commands():

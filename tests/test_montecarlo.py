@@ -335,6 +335,11 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="unknown two-sided bound"):
             calibrate("no_such_bound", [(1,)], RandomStream(1), RandomStream(2))
 
+    def test_unhashable_bound_name_is_unknown(self):
+        # a name read from a --config file may be any JSON value
+        with pytest.raises(ValueError, match="unknown two-sided bound \\['x'\\]"):
+            calibrate(["x"], [(1,)], RandomStream(1), RandomStream(2))
+
     def test_refit_reproducible(self):
         grid = [(0.3, 0.5, 200), (0.3, 0.5, 500)]
         a = calibrate("power_log_sum", grid, RandomStream(99), RandomStream(100))
@@ -402,6 +407,13 @@ class TestScalingProbe:
         with pytest.raises(ValueError, match="grid too small"):
             scaling_probe(0.0, 2.0, 100, [0.1, 0.2, 0.3, 0.45], 10, 100,
                           RandomStream(0))
+
+    def test_repeated_eps_is_one_point(self):
+        # a slope fitted over one eps value is a regression over one x
+        with pytest.raises(ValueError, match="need >= 4 distinct eps points"):
+            scaling_probe(0.0, 2.0, 50, [0.2, 0.2, 0.2, 0.2], 5, 100, RandomStream(3))
+        with pytest.raises(ValueError, match="grid too small"):
+            scaling_probe(0.0, 2.0, 50, [0.15, 0.2, 0.2, 0.3], 5, 100, RandomStream(3))
 
     def test_smoke_run(self):
         res = scaling_probe(0.0, 2.0, 50, [0.15, 0.2, 0.26, 0.34], 10, 300,

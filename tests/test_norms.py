@@ -430,7 +430,8 @@ class TestImagesKernel:
         with pytest.raises(ValueError, match="expected an \\(10, m\\) matrix"):
             lorentz_norm_images(params, rng.standard_normal((9, 2)),
                                 rng.standard_normal((2, 4)))
-        with pytest.raises(ValueError, match="direction matrix"):
+        with pytest.raises(ValueError,
+                           match="expected an \\(2, m\\) matrix, got shape \\(3, 4\\)"):
             lorentz_norm_images(params, rng.standard_normal((10, 2)),
                                 rng.standard_normal((3, 4)))
 
@@ -475,6 +476,15 @@ class TestPsiGradient:
         assert not psi_gradient_norm(params, [1.0, 1.0, 2.0]).smooth_point
         assert not psi_gradient_norm(params, [0.0, 1.0, 2.0]).smooth_point
         assert psi_gradient_norm(params, [0.5, 1.0, 2.0]).smooth_point
+
+    @pytest.mark.parametrize("r, p", [(0.0, 2.0), (0.3, 1.5), (0.5, 1.0), (1.2, 3.7)])
+    def test_is_p_times_root_of_grad_functional(self, r, p, rng):
+        # at the power weights w_i^2 = i^(-2r), the coefficients of grad_functional
+        params = power_params(r, p, 40)
+        for _ in range(20):
+            x = rng.standard_normal(40)
+            want = p * math.sqrt(grad_functional(r, p, x))
+            assert psi_gradient_norm(params, x).value == pytest.approx(want, rel=1e-12)
 
     def test_matches_finite_differences(self, rng):
         params = power_params(0.5, 1.5, 10)

@@ -156,6 +156,31 @@ class TestCorollaryRp:
         with pytest.raises(ValueError, match="eps"):
             corollary_dimension_rp(0.2, 1.5, 100, eps)
 
+    @pytest.mark.parametrize("c_rp", [1.0, 0.37, 3.3, 1e-5])
+    def test_is_the_simplified_tables_minimum(self, c_rp):
+        # c_rp min(E', F') and min(c_rp E', c_rp F') are the same float:
+        # rounding a product by c_rp > 0 is monotone
+        ledger = ConstantLedger({"c_rp": c_rp})
+        for r in (0.0, 0.2, 0.3, 0.5, 0.7, 1.0):
+            for p in (1.0, 1.2, 1.4, 1.6, 2.0, 3.5):
+                for n in (3, 100, 10 ** 4):
+                    for eps in (0.01, 0.1, 0.3, 0.49):
+                        d = corollary_dimension_rp(r, p, n, eps, ledger)
+                        assert d == min(lomain_EF_simplified(r, p, n, eps, ledger))
+                        assert d == c_rp * min(lomain_EF_simplified(r, p, n, eps))
+        report = compute_bound_report(0.5, 1.2, 10 ** 4, 0.1, ledger)
+        assert report.d_prime == corollary_dimension_rp(0.5, 1.2, 10 ** 4, 0.1, ledger)
+
+    @pytest.mark.parametrize("n, eps, message", [
+        (100, 0.6, "eps must lie in \\(0, 1/2\\)"),
+        (2, 0.1, "n must be at least 3"),
+    ])
+    def test_domain_is_the_tables(self, n, eps, message):
+        with pytest.raises(ValueError, match=message):
+            corollary_dimension_rp(0.2, 1.5, n, eps)
+        with pytest.raises(ValueError, match=message):
+            lomain_EF_simplified(0.2, 1.5, n, eps)
+
 
 class TestGeneralDimension:
     def test_flat_p2_n2(self):
