@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytic
 from .constants import ConstantLedger
-from .embedding import (_check_k, _deviations, sample_gaussian_matrix,
+from .embedding import (_check_k, _max_deviation, sample_gaussian_matrix,
                         test_directions)
 from .norms import _blocked_sums
 from .params import LorentzParams, power_params
@@ -174,8 +174,8 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
     dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
     max_devs = np.array([
-        np.max(_deviations(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
-                           params, M, dirs)) for j in range(trials)])
+        _max_deviation(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
+                       params, M, dirs) for j in range(trials)])
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,

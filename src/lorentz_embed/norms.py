@@ -71,7 +71,7 @@ def _power_in_place(A: np.ndarray, q: float):
         for i in range(0, rows, step):
             for j in range(0, cols, POWER_SLICE):
                 S = A[i:i + step, j:j + POWER_SLICE]
-                root = _buffers.scratch[:S.size].reshape(S.shape)
+                root = _buffers.scratch.view(A.dtype)[:S.size].reshape(S.shape)
                 np.sqrt(S, out=root)
                 np.multiply(S, root, out=S)
     elif q != 1.0:
@@ -114,9 +114,10 @@ def blas_threads() -> int | None:
 
 
 def _run_tasks(task, args: list):
-    """task(*a) for every a in args: inline for one task or one core, else on
-    a thread pool shared by all callers and made on first use. A task must
-    not call _run_tasks itself.
+    """task(*a) for every a in args: inline on one core, or for one task
+    until the pool exists (after that its workers' grown buffers take it, not
+    a new one on the caller), else on a thread pool shared by all callers and
+    made on first use. A task must not call _run_tasks itself.
 
     Making the pool sets numpy's OpenBLAS to one thread: the pool's workers
     then take the cores, and no idle BLAS thread spins beside them after a
@@ -124,7 +125,7 @@ def _run_tasks(task, args: list):
     threads, not its sums, so this leaves the kernel's results as they were.
     """
     global _pool
-    if len(args) < 2 or _WORKERS == 1:
+    if _WORKERS == 1 or (len(args) < 2 and _pool is None):
         for a in args:
             task(*a)
         return
@@ -147,7 +148,8 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
     The flat pairs come first: each sums the powers along the rows, times
     c[0]. The other pairs share one ascending sort of the rows, so the
     largest len(c) entries of a vector are the tail of its row. Each pair
-    powers A in place, or a copy unless it comes last or q is 1.
+    powers A in place, or a copy unless it comes last or q is 1. The sums
+    are float64: a float32 block's powers are weighted and summed in float64.
     """
     n = A.shape[1]
     order = sorted(range(len(pairs)), key=lambda j: not flat[j])
@@ -160,43 +162,55 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
             top = top.copy(order="K")
         _power_in_place(top, q)
         if flat[j]:
-            np.sum(top, axis=1, out=out[rows])
+            np.sum(top, axis=1, dtype=float, out=out[rows])
             out[rows] *= c[0]
-        else:
+        elif top.dtype == np.float64:
             out[rows] = top @ c[::-1]
+        else:
+            np.einsum("ij,j->i", top, c[::-1], dtype=float, out=out[rows])
 
 
-def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list) -> list:
-    """The sums of _power_sums for m vectors Y of length n. Each (start, stop)
-    in groups is one task on _run_tasks, which takes those vectors in the
-    blocks of _block_bounds(n, stop - start): fill(lo, hi, A) writes |Y| of
-    vectors lo to hi as the rows of A, a C-ordered view of the thread's block
-    buffer, and _row_sums sums them there. A row's sums do not depend on its
-    block's height, so the results never depend on the worker count."""
+def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list,
+                  dtype=np.float64) -> list:
+    """The sums of _power_sums for the vectors in groups, of m vectors Y of
+    length n. Each (start, stop) in groups is one task on _run_tasks, which
+    takes those vectors in the blocks of _block_bounds(n, stop - start):
+    fill(lo, hi, A) writes |Y| of vectors lo to hi as the rows of A, a
+    C-ordered view in dtype of the thread's block buffer, and _row_sums sums
+    them there. A row's sums do not depend on its block's height, so the
+    results never depend on the worker count. Each task keeps its own
+    np.errstate; a float64 block whose sums overflow raises ValueError."""
     flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
     outs = [np.empty(m) for _ in pairs]
 
     def task(start: int, stop: int):
-        for lo, hi in _block_bounds(n, stop - start):
-            A = _buffers.take(n * (hi - lo)).reshape(hi - lo, n)
-            fill(start + lo, start + hi, A)
-            _row_sums(pairs, flat, A, outs, slice(start + lo, start + hi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in _block_bounds(n, stop - start):
+                size, rows = n * (hi - lo), slice(start + lo, start + hi)
+                A = _buffers.take(size).view(dtype)[:size].reshape(hi - lo, n)
+                fill(start + lo, start + hi, A)
+                _row_sums(pairs, flat, A, outs, rows)
+                for (_, q), out in zip(pairs, outs if dtype == np.float64 else []):
+                    if not np.isfinite(out[rows]).all():
+                        raise ValueError(f"a power sum at exponent {q} overflows "
+                                         "a float: p is too large for these inputs")
 
     _run_tasks(task, groups)
     return outs
 
 
-def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list:
+def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None,
+                groups: list | None = None) -> list:
     """[sum_i c_i Y_[i]^q for each column of Y, for each (c, q) in pairs],
     Y_[i] the non-increasing rearrangement of a column's absolute values;
     rows past len(c) are left out. Y is X, or with D given the images of
-    the (k, m) matrix D under the (n, k) matrix X.
+    the (k, m) matrix D under the (n, k) matrix X, formed in X's dtype.
 
-    Each block of _block_bounds(n, m) is one task of _blocked_sums, filled
-    with its columns as rows: X's, or the product D[:, block].T @ X.T, so no
-    (n, m) image is held. The blocks depend on n and m only, so the results
-    never depend on the worker count. A block's product may differ from
-    X @ D in the last bit, and equals the rows of the whole product
+    Each block of _block_bounds(n, m), or of groups, some of them, is one task
+    of _blocked_sums, filled with its columns as rows: X's, or the product
+    D[:, block].T @ X.T, so no (n, m) image is held. The blocks depend on n
+    and m only, so the results never depend on the worker count. A block's
+    product may differ from X @ D in the last bit, and equals the rows of
     D.T @ X.T only where OpenBLAS takes the same GEMM path for both: blocks
     of 2 to 8 directions at n 300, k 80 do not. X itself is never modified.
     """
@@ -209,9 +223,11 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None) -> list
         (n, _), m = X.shape, D.shape[1]
 
         def fill(start: int, stop: int, A: np.ndarray):
-            np.abs(np.matmul(D[:, start:stop].T, X.T, out=A), out=A)
+            block = D[:, start:stop].T.astype(A.dtype, copy=False)
+            np.abs(np.matmul(block, X.T, out=A), out=A)
 
-    return _blocked_sums(pairs, n, m, fill, _block_bounds(n, m))
+    return _blocked_sums(pairs, n, m, fill,
+                         _block_bounds(n, m) if groups is None else groups, X.dtype)
 
 
 def _evaluate(n: int, x, pair: tuple, power: float = 1.0):

@@ -349,6 +349,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--samples", "100", "--directions", "10"],
+        ["verify", "--kind", "embedding", "--eps", "0.2", "--trials", "2",
+         "--directions", "10"],
+    ], ids=["simulate", "verify"])
+    def test_overflowing_p_exits_1_naming_p(self, argv):
+        # |x|^1000 overflows a float; the kernel's tasks, some on pool threads
+        # with their own numpy error state, must print no RuntimeWarning
+        src = str(Path(lorentz_embed.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "lorentz_embed.cli", *argv,
+                               "--r", "0", "--p", "1000", "--n", "1000", "--k", "2",
+                               "--seed", "1"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: a power sum at exponent 1000.0 overflows "
+                               "a float: p is too large for these inputs\n")
+
     def test_cli_imports_no_scipy(self):
         # scipy is imported lazily, only by calibrate's quadrature oracles;
         # the norm kernel's thread pool is made on its first multi-block call

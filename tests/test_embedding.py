@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorentz_embed import (RandomStream, estimate_median_norm, lorentz_norm,
-                           measure_distortion, power_params,
-                           sample_gaussian_matrix)
+from lorentz_embed import (LorentzParams, RandomStream, estimate_median_norm,
+                           lorentz_norm, lorentz_norm_images, measure_distortion,
+                           norms, power_params, sample_gaussian_matrix)
+from lorentz_embed.cli import _load_weights_file
+from lorentz_embed.embedding import _deviations, _max_deviation
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
 from oracle import identity_injection
@@ -156,3 +158,89 @@ class TestMeasureDistortion:
         dirs = make_directions(2, 10, "grid2d")
         with pytest.raises(ValueError):
             measure_distortion(G, power_params(0.0, 2.0, 5), 0.0, dirs)
+
+
+def _weighted(kind, p, n, tmp_path):
+    """Flat or power weights, or the weights a weights file gives: steps down
+    to 0, or to 1e-40."""
+    if kind in ("flat", "power"):
+        return power_params(0.0 if kind == "flat" else 0.3, p, n)
+    last = "0" if kind == "file" else "1e-40"
+    path = tmp_path / "weights.txt"
+    path.write_text("\n".join(["1"] * 5 + ["0.5"] * (n - 10) + [last] * 5) + "\n")
+    return LorentzParams(_load_weights_file({"weights_file": str(path)}), p)
+
+
+class TestMaxDeviation:
+    """_max_deviation is bitwise float(np.max(_deviations(...)))."""
+
+    N = 300
+
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        # blocks at most 8 wide at n = 300: m = 1, 9, 20, 203 give 1, 2, 3
+        # and 26 blocks, the last of widths 7 and 8
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 8 * self.N)
+
+    @staticmethod
+    def median_M(params, G, D):
+        return float(np.median(lorentz_norm_images(params, G, D)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 0.5])
+    @pytest.mark.parametrize("weights", ["flat", "power", "file", "file_tiny"])
+    def test_equals_the_float64_maximum(self, weights, p, tmp_path):
+        params = _weighted(weights, p, self.N, tmp_path)
+        rng = np.random.default_rng(int(p * 10) + len(weights))
+        for k in (1, 2, 3, 8, 80):
+            G = rng.standard_normal((self.N, k))
+            for m in (1, 9, 20, 203):
+                D = make_directions(k, m, "random_sphere", RandomStream(m + k))
+                M = self.median_M(params, G, D)
+                want = float(np.max(_deviations(G, params, M, D)))
+                assert _max_deviation(G, params, M, D) == want, (k, m)
+
+    @pytest.mark.parametrize("tie", ["mirror", 1e-9, 1e-7])
+    @pytest.mark.parametrize("r, p", [(0.0, 1.5), (0.3, 1.5), (0.3, 2.0), (0.5, 1.0)])
+    def test_near_ties_in_other_blocks(self, tie, r, p):
+        # beside the largest deviation theta, block j of the 26 gets theta or
+        # -theta, or theta turned by (j + 1) * tie rad. Turned by 1e-9, most
+        # copies round to theta's float32 entries and tie with it; turned by
+        # 1e-7, float32 orders them by its rounding alone, and only the
+        # margin E keeps the block of the float64 maximum
+        params = power_params(r, p, self.N)
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((self.N, 8))
+        D = make_directions(8, 203, "random_sphere", RandomStream(8))
+        M = self.median_M(params, G, D)
+        theta = D[:, np.argmax(_deviations(G, params, M, D))].copy()
+        for j, (lo, _) in enumerate(norms._block_bounds(self.N, 203)):
+            if tie == "mirror":
+                D[:, lo] = theta if j % 2 else -theta
+            else:
+                a = (j + 1) * tie
+                D[:, lo] = theta
+                D[:2, lo] = (np.cos(a) * theta[0] - np.sin(a) * theta[1],
+                             np.sin(a) * theta[0] + np.cos(a) * theta[1])
+        want = float(np.max(_deviations(G, params, M, D)))
+        assert _max_deviation(G, params, M, D) == want
+
+    def test_float32_overflow_takes_the_float64_pass(self):
+        # images near 1e20 square past float32's range, not float64's
+        params = power_params(0.3, 2.0, self.N)
+        G = np.random.default_rng(3).standard_normal((self.N, 8)) * 1e20
+        D = make_directions(8, 203, "random_sphere", RandomStream(9))
+        M = self.median_M(params, G, D)
+        want = float(np.max(_deviations(G, params, M, D)))
+        assert _max_deviation(G, params, M, D) == want
+
+    def test_rejects_what_deviations_rejects(self):
+        params = power_params(0.3, 1.5, self.N)
+        G = np.ones((self.N, 2))
+        D = make_directions(2, 203, "grid2d")
+        with pytest.raises(ValueError, match="M must be positive"):
+            _max_deviation(G, params, 0.0, D)
+        with pytest.raises(ValueError, match="expected an \\(2, m\\) matrix"):
+            _max_deviation(G, params, 1.0, D[:1])
+        G[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _max_deviation(G, params, 1.0, D)

@@ -18,6 +18,7 @@ from lorentz_embed import (RandomStream, calibrate,
 from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo, norms
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
+from lorentz_embed.embedding import _deviations
 from lorentz_embed.sharp import grad_functional, make_sharp_spec, sharp_norm
 from oracle import identity_injection, weighted_power_sum
 
@@ -314,6 +315,30 @@ class TestVerifyEmbedding:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_caller_grows_no_block_buffer(self, monkeypatch):
+        # the float32 screen of 31 blocks and the float64 confirmation of the
+        # candidate blocks both run in the pool's buffers; confirming one
+        # block inline would grow a third 2 MB buffer on the calling thread
+        monkeypatch.setattr(norms, "_WORKERS", max(2, norms._WORKERS))
+        params = power_params(0.3, 1.5, 2000)
+
+        def call():  # on a fresh thread, whose block buffer starts empty
+            verify_embedding(params, 8, 0.2, 2, 4000, RandomStream(99), M=40.0)
+            return norms._buffers.block.size
+
+        with concurrent.futures.ThreadPoolExecutor(1) as caller:
+            assert caller.submit(call).result(timeout=60) == 0
+
+    def test_trials_take_the_float64_maximum(self):
+        # the README verify point, 31 blocks of 129 directions per trial
+        params = power_params(0.3, 1.5, 2000)
+        stream, M = RandomStream(1), 40.0
+        res = verify_embedding(params, 8, 0.2, 3, 4000, stream, M=M)
+        dirs = make_directions(8, 4000, "random_sphere", stream.substream(1))
+        for trial, dev in enumerate(res.max_devs):
+            G = sample_gaussian_matrix(2000, 8, stream.substream(2 + trial))
+            assert dev == np.max(_deviations(G, params, M, dirs))
 
 
 class TestCalibrate:
