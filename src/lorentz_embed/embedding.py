@@ -64,11 +64,12 @@ QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
 
 def _deviations(G: np.ndarray, params: LorentzParams, M: float,
-                directions: np.ndarray) -> np.ndarray:
-    """| |G theta| / M - 1 | for each unit column theta of directions, in float64."""
+                directions: np.ndarray, blocks: list | None = None) -> np.ndarray:
+    """| |G theta| / M - 1 | in float64 for each unit column theta of directions
+    in blocks, some of _block_bounds(n, m) (None: all); the others read NaN."""
     if M <= 0.0:
         raise ValueError("M must be positive")
-    return np.abs(lorentz_norm_images(params, G, directions) / M - 1.0)
+    return np.abs(lorentz_norm_images(params, G, directions, blocks) / M - 1.0)
 
 
 def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
@@ -80,22 +81,18 @@ def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
     the float64 one (Higham 2002, ch. 3): gamma_{k+2} |theta|_2
     |(|G_i|_2)_i|_p for the product (|.|_{w,p} <= |.|_p is a norm), gamma_2
     at 2^-24 and gamma_{n+8} at 2^-53 of N / p for the powers and sums, and
-    underflow, doubled for the second-order terms. Only the blocks of
-    directions with dev + E >= max(dev - E) are summed again in float64, as
-    _deviations sums them. The screen needs correctly rounded powers (p in
-    {1, 3/2, 2}), more than two blocks and k > 2 (at k <= 2 the directions
-    near the max fill most blocks); elsewhere, or if its sums are not all
-    finite, this is _deviations.
+    underflow, doubled for the second-order terms. _deviations then forms
+    only the blocks of directions with dev + E >= max(dev - E). The screen
+    needs correctly rounded powers (p in {1, 3/2, 2}), more than two blocks
+    and k > 2 (at k = 2 the directions near the max fill most blocks);
+    elsewhere, or if its sums are not all finite, every block is formed.
     """
-    if M <= 0.0:
-        raise ValueError("M must be positive")
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
-    (n, k), p, w = G.shape, params.p, params.weights
+    (n, k), p = G.shape, params.p
     blocks = _block_bounds(n, directions.shape[1])
-    floor = np.nan
     if p in (1.0, 1.5, 2.0) and len(blocks) > 2 and k > 2:
-        sums = _power_sums([(w, p)], G.astype(np.float32), directions)[0]
+        sums = _power_sums([(params.weights, p)], G.astype(np.float32), directions)[0]
         cols = np.sqrt(np.einsum("ij,ij->j", directions, directions))
         lp = np.linalg.norm(np.sqrt(np.einsum("ij,ij->i", G, G)), p)
 
@@ -103,7 +100,7 @@ def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
             return count * u / (1.0 - count * u)
 
         u32, u64 = 2.0 ** -24, 2.0 ** -53
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             norms = sums ** (1.0 / p)
             devs = np.abs(norms / M - 1.0)
             E = 2.0 * ((gamma(k + 2, u32) + gamma(k + 2, u64)) * cols * lp
@@ -111,13 +108,10 @@ def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
                        + n ** (1.0 / p) * k * (max(G.max(), -G.min()) + cols + 1.0)
                        * 2.0 ** -149 + (n * 2.0 ** -147) ** (1.0 / p)) / M + 2.0 ** -50
             floor = np.max(devs - E)
-    if not np.isfinite(floor):
-        return float(np.max(_deviations(G, params, M, directions)))
-    near = devs + E >= floor
-    chosen = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
-    exact = _power_sums([(w, p)], G, directions, chosen)[0]
-    return max(float(np.max(np.abs(exact[lo:hi] ** (1.0 / p) / M - 1.0)))
-               for lo, hi in chosen)
+        if np.isfinite(floor):
+            near = devs + E >= floor
+            blocks = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
+    return float(np.nanmax(_deviations(G, params, M, directions, blocks)))
 
 
 def measure_distortion(

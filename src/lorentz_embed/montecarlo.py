@@ -164,7 +164,8 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
 
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
     from stream.substream(0).  The directions come from stream.substream(1),
-    trial j's matrix from stream.substream(2 + j), and the trial's max
+    but at k = 1 are {1, -1}, undrawn: every drawn one is one of the two;
+    trial j's matrix comes from stream.substream(2 + j), and the trial's max
     deviation is the largest of its embedding._deviations.
     """
     _check_eps(eps)
@@ -172,7 +173,8 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     _check_k(params.n, k)
     if M is None:
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
-    dirs = test_directions(k, directions, "random_sphere", stream.substream(1))
+    dirs = (np.array([[1.0, -1.0]]) if k == 1
+            else test_directions(k, directions, "random_sphere", stream.substream(1)))
     max_devs = np.array([
         _max_deviation(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
                        params, M, dirs) for j in range(trials)])

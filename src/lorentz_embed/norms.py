@@ -173,15 +173,15 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
 def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list,
                   dtype=np.float64) -> list:
     """The sums of _power_sums for the vectors in groups, of m vectors Y of
-    length n. Each (start, stop) in groups is one task on _run_tasks, which
-    takes those vectors in the blocks of _block_bounds(n, stop - start):
-    fill(lo, hi, A) writes |Y| of vectors lo to hi as the rows of A, a
-    C-ordered view in dtype of the thread's block buffer, and _row_sums sums
-    them there. A row's sums do not depend on its block's height, so the
-    results never depend on the worker count. Each task keeps its own
-    np.errstate; a float64 block whose sums overflow raises ValueError."""
+    length n, and NaN for the others. Each (start, stop) in groups is one
+    task on _run_tasks, which takes those vectors in the blocks of
+    _block_bounds(n, stop - start): fill(lo, hi, A) writes |Y| of vectors lo
+    to hi as the rows of A, a C-ordered view in dtype of the thread's block
+    buffer, and _row_sums sums them there. A row's sums do not depend on its
+    block's height, so results never depend on the worker count. Each task
+    keeps its np.errstate; a float64 block whose sums overflow raises."""
     flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
-    outs = [np.empty(m) for _ in pairs]
+    outs = [np.full(m, np.nan) for _ in pairs]
 
     def task(start: int, stop: int):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -245,15 +245,15 @@ def lorentz_norm(params: LorentzParams, x):
 
 
 def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
-                        directions: np.ndarray) -> np.ndarray:
-    """Lorentz norm of each column of G @ directions, for an (n, k) matrix G
-    and a (k, m) matrix of directions, with the images formed block by block
-    as in _power_sums: the same for any worker count, and bitwise
-    lorentz_norm(params, (directions.T @ G.T).T) only where OpenBLAS forms
-    each block's product as the rows of the whole one."""
+                        directions: np.ndarray, blocks: list | None = None) -> np.ndarray:
+    """Lorentz norm of each column of G @ directions in blocks, some of
+    _block_bounds(n, m) (None: all; the others read NaN), for (n, k) G and
+    (k, m) directions, formed as in _power_sums: the same for any worker
+    count, and bitwise lorentz_norm(params, (directions.T @ G.T).T) only
+    where OpenBLAS forms each block's product as the rows of the whole one."""
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
-    power = _power_sums([(params.weights, params.p)], G, directions)[0]
+    power = _power_sums([(params.weights, params.p)], G, directions, blocks)[0]
     return power ** (1.0 / params.p)
 
 

@@ -147,6 +147,12 @@ REPORT_SHA256 = {
     "verify --kind embedding --r 0.3 --p 1.5 --n 2000 --k 8 --eps 0.2 --seed 1 "
     "--trials 10 --directions 4000":
         "4205c3fce94fcf6f3f697fc7901bd6aba7659f246b26dca886a60153aae65023",
+    "verify --kind embedding --r 0.3 --p 1.5 --n 2000 --k 1 --eps 0.2 --seed 1 "
+    "--trials 10 --directions 4000":
+        "076e27f30faa21059ff74afc190bec1b210936892ae1e75e4ce85fa375a7ecfe",
+    "calibrate --bound-name embedding_dimension --r 0.3 --p 1.5 --n 2000 --eps 0.2 "
+    "--seed 101 --validation-seed 202 --trials 4 --directions 2000":
+        "813ade6592b0287441bef640dac1da46d7323a2207e3aaa4701557afd0c71cbb",
     "simulate --weights-file weights.txt --p 2 --k 2 --seed 3 --samples 200 "
     "--directions 100":
         "477c9387b3e861b993d2c46c043dd4e3312050981020379cfd0e380c96d913f9",

@@ -239,6 +239,9 @@ class TestMaxDeviation:
         D = make_directions(2, 203, "grid2d")
         with pytest.raises(ValueError, match="M must be positive"):
             _max_deviation(G, params, 0.0, D)
+        with pytest.raises(ValueError, match="M must be positive"):  # screened
+            _max_deviation(np.ones((self.N, 8)), params, 0.0,
+                           make_directions(8, 203, "random_sphere", RandomStream(8)))
         with pytest.raises(ValueError, match="expected an \\(2, m\\) matrix"):
             _max_deviation(G, params, 1.0, D[:1])
         G[0, 0] = np.nan

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lorentz_embed import (RandomStream, calibrate,
+from lorentz_embed import (LorentzParams, RandomStream, calibrate,
                            calibrate_embedding_dimension, estimate_median_norm,
                            estimate_median_psi, lorentz_norm,
                            power_params, sample_gaussian_matrix, scaling_probe,
@@ -17,6 +17,7 @@ from lorentz_embed import (RandomStream, calibrate,
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo, norms
+from lorentz_embed.cli import _load_weights_file
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
 from lorentz_embed.embedding import _deviations
 from lorentz_embed.sharp import grad_functional, make_sharp_spec, sharp_norm
@@ -338,6 +339,33 @@ class TestVerifyEmbedding:
         dirs = make_directions(8, 4000, "random_sphere", stream.substream(1))
         for trial, dev in enumerate(res.max_devs):
             G = sample_gaussian_matrix(2000, 8, stream.substream(2 + trial))
+            assert dev == np.max(_deviations(G, params, M, dirs))
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    @pytest.mark.parametrize("weights", ["flat", "power", "file"])
+    def test_k1_takes_the_two_unit_directions(self, weights, p, tmp_path, monkeypatch):
+        # every direction drawn at k = 1 is +1 or -1: their two deviations
+        # are all of them, and substream(1) is not drawn from
+        if weights == "file":
+            path = tmp_path / "weights.txt"
+            path.write_text("\n".join(["1"] * 5 + ["0.5"] * 1990 + ["0"] * 5))
+            params = LorentzParams(_load_weights_file({"weights_file": str(path)}), p)
+        else:
+            params = power_params(0.0 if weights == "flat" else 0.3, p, 2000)
+        stream, M = RandomStream(3), 20.0
+        drawn = []
+        generator = RandomStream.generator
+
+        def spy(self):
+            drawn.append(self.path)
+            return generator(self)
+
+        monkeypatch.setattr(RandomStream, "generator", spy)
+        res = verify_embedding(params, 1, 0.2, 3, 2000, stream, M=M)
+        assert stream.substream(1).path not in drawn
+        dirs = make_directions(1, 2000, "random_sphere", stream.substream(1))
+        for trial, dev in enumerate(res.max_devs):
+            G = sample_gaussian_matrix(2000, 1, stream.substream(2 + trial))
             assert dev == np.max(_deviations(G, params, M, dirs))
 
 

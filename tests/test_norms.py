@@ -425,6 +425,29 @@ class TestImagesKernel:
         for want, got in zip(expected, results):
             assert all(np.array_equal(want, g) for g in got)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_unformed_blocks_read_nan(self, r, workers, rng, monkeypatch):
+        # of the 26 blocks of 7 or 8 directions, only the given ones are
+        # formed, bitwise as in the full call; the other columns read NaN
+        monkeypatch.setattr(norms, "_WORKERS", workers)
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 8 * 300)
+        params = power_params(r, 1.5, 300)
+        pairs = [(params.weights, params.p)]
+        G = rng.standard_normal((300, 4))
+        D = rng.standard_normal((4, 203))
+        blocks = norms._block_bounds(300, 203)
+        full = (_power_sums(pairs, G, D)[0], lorentz_norm_images(params, G, D))
+        for chosen in ([blocks[3]], [blocks[3], blocks[20]]):
+            formed = np.zeros(203, dtype=bool)
+            for lo, hi in chosen:
+                formed[lo:hi] = True
+            parts = (_power_sums(pairs, G, D, groups=chosen)[0],
+                     lorentz_norm_images(params, G, D, blocks=chosen))
+            for got, want in zip(parts, full):
+                assert np.isnan(got[~formed]).all()
+                assert np.array_equal(got[formed], want[formed])
+
     def test_rejects_mismatched_shapes(self, rng):
         params = power_params(0.3, 1.5, 10)
         with pytest.raises(ValueError, match="expected an \\(10, m\\) matrix"):
