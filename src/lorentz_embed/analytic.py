@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .params import _index_powers
+
 
 def incomplete_gamma_shape(b: float, q: float, sign: str) -> float:
     """Shape of int_0^b e^(-w) w^q dw (decay) or of int_0^b e^(+w) w^q dw
@@ -49,7 +51,7 @@ def _log_power_sum(v: np.ndarray, q: float, n: int):
 
 def power_log_sum_exact(a: float, q: float, n: int) -> float:
     """Direct-summation oracle for sum_{i=1}^n i^(-a) (ln(n/i))^q with 0^0 = 1."""
-    return float(_log_power_sum(np.arange(1, n + 1, dtype=float) ** (-a), q, n))
+    return float(_log_power_sum(_index_powers(n, a), q, n))
 
 
 def power_integral_shape(a: float, T: float) -> float:

@@ -33,7 +33,7 @@ MEDIAN_SAMPLES = 10 ** 4
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, with exact edges 0 and 1."""
     if trials < 1:
         raise ValueError("trials must be positive")
     z = Z95
@@ -41,7 +41,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z ** 2 / trials
     center = (phat + z ** 2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z ** 2 / (4.0 * trials ** 2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else center - half,
+            1.0 if successes == trials else center + half)
 
 
 def _sample_power_sums(pairs: list, n: int, samples: int,
@@ -296,8 +297,8 @@ def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
                           k_cap: int) -> dict:
     """The success rate at each k that a binary search (to +-1) for the
     largest passing k probes, keyed by ascending k; _k_star reads that k.
-    Fresh substreams per probed k avoid adaptive bias.  k = 1 is probed
-    first, even where k_cap is 0, and alone when it fails."""
+    Fresh substreams per probed k avoid adaptive bias.  k = 1, the first
+    doubling step, is probed even where k_cap is 0, and alone when it fails."""
     observed = {}
 
     def success_rate(k: int) -> float:  # no k is probed twice
@@ -306,15 +307,13 @@ def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
         observed[k] = res.success_rate
         return observed[k]
 
-    if success_rate(1) < threshold:
-        return observed
-    lo = 1
-    hi = 2
-    while hi <= k_cap and success_rate(hi) >= threshold:
+    cap = max(k_cap, 1)
+    lo, hi = 0, 1
+    while hi <= cap and success_rate(hi) >= threshold:
         lo = hi
         hi *= 2
-    hi = min(hi, k_cap + 1)
-    # invariant: lo succeeds, hi fails (or exceeds the cap)
+    hi = min(hi, cap + 1)
+    # invariant: lo succeeds (or is 0), hi fails (or exceeds the cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if success_rate(mid) >= threshold:
@@ -439,10 +438,8 @@ def scaling_probe(r: float, p: float, n: int, eps_grid, trials: int,
                        for search in searches])
         if s is not None:
             boot.append(s)
-    if len(boot) < 100 or slope is None:
-        return ScalingProbeResult(eps_grid, tuple(k_stars), slope, None, None,
-                                  inconclusive=True, saturated=saturated)
-    lo = float(np.quantile(boot, 0.025))
-    hi = float(np.quantile(boot, 0.975))
-    return ScalingProbeResult(eps_grid, tuple(k_stars), slope, lo, hi,
-                              inconclusive=saturated, saturated=saturated)
+    ci = (None, None)
+    if len(boot) >= 100 and slope is not None:
+        ci = tuple(float(np.quantile(boot, level)) for level in (0.025, 0.975))
+    return ScalingProbeResult(eps_grid, tuple(k_stars), slope, *ci, saturated=saturated,
+                              inconclusive=saturated or ci[0] is None)

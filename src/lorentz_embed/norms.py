@@ -60,20 +60,18 @@ def _checked(n: int, x, ndims: tuple = (1, 2)) -> np.ndarray:
 
 
 def _power_in_place(A: np.ndarray, q: float):
-    """A ** q in place on a 2-d view with contiguous rows. q = 3/2 is
-    a * sqrt(a), two correctly rounded operations, taken in slices of at most
-    POWER_SLICE entries along the rows through the thread's scratch."""
+    """A ** q in place on a C-contiguous array. q = 3/2 is a * sqrt(a), two
+    correctly rounded operations, taken in slices of at most POWER_SLICE
+    entries along the whole array through the thread's scratch."""
     if q == 2.0:
         np.square(A, out=A)
     elif q == 1.5:
-        rows, cols = A.shape
-        step = max(1, POWER_SLICE // cols)
-        for i in range(0, rows, step):
-            for j in range(0, cols, POWER_SLICE):
-                S = A[i:i + step, j:j + POWER_SLICE]
-                root = _buffers.scratch.view(A.dtype)[:S.size].reshape(S.shape)
-                np.sqrt(S, out=root)
-                np.multiply(S, root, out=S)
+        flat = A.reshape(-1)  # a view, as A is C-contiguous
+        for j in range(0, flat.size, POWER_SLICE):
+            S = flat[j:j + POWER_SLICE]
+            root = _buffers.scratch.view(A.dtype)[:S.size]
+            np.sqrt(S, out=root)
+            np.multiply(S, root, out=S)
     elif q != 1.0:
         np.power(A, q, out=A)
 
@@ -147,19 +145,19 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
 
     The flat pairs come first: each sums the powers along the rows, times
     c[0]. The other pairs share one ascending sort of the rows, so the
-    largest len(c) entries of a vector are the tail of its row. Each pair
-    powers A in place, or a copy unless it comes last or q is 1. The sums
-    are float64: a float32 block's powers are weighted and summed in float64.
-    """
-    n = A.shape[1]
+    largest len(c) entries of a vector are the tail of its row. A pair with
+    q != 1 powers A in place if it comes last with whole rows, else a copy.
+    The sums are float64: a float32 block's powers are weighted and summed
+    in float64."""
+    n, last = A.shape[1], len(pairs) - 1
     order = sorted(range(len(pairs)), key=lambda j: not flat[j])
     for i, j in enumerate(order):
         (c, q), out = pairs[j], outs[j]
         if not flat[j] and (i == 0 or flat[order[i - 1]]):
             A.sort(axis=1)
         top = A if flat[j] else A[:, n - c.size:]
-        if i != len(order) - 1 and q != 1.0:
-            top = top.copy(order="K")
+        if q != 1.0 and (i != last or c.size < n):
+            top = top.copy()
         _power_in_place(top, q)
         if flat[j]:
             np.sum(top, axis=1, dtype=float, out=out[rows])

@@ -43,4 +43,9 @@ def power_params(r: float, p: float, n: int) -> LorentzParams:
         raise ValueError("r must be a finite nonnegative real")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return LorentzParams(np.arange(1, n + 1, dtype=float) ** (-r), p)
+    return LorentzParams(_index_powers(n, r), p)
+
+
+def _index_powers(n: int, a: float) -> np.ndarray:
+    """i^(-a) for i = 1..n: every power of the index the package sums over."""
+    return np.arange(1, n + 1, dtype=float) ** (-a)

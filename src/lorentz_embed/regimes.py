@@ -10,7 +10,7 @@ import numpy as np
 from .analytic import _log_power_sum, median_norm_shape
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import lipschitz_constant
-from .params import LorentzParams, power_params
+from .params import LorentzParams, _index_powers, power_params
 
 # tolerance used to detect the boundary family p = 2(1-r)
 P_BOUNDARY_TOL = 1e-12
@@ -130,8 +130,17 @@ def lomain_EF(
     return E, F
 
 
-def _simplified_EF(r: float, p: float, n: int, eps: float) -> tuple[float, float]:
-    """The simplified lower-bound table for (E, F), without its c_rp factor."""
+def lomain_EF_simplified(
+    r: float,
+    p: float,
+    n: int,
+    eps: float,
+    ledger: ConstantLedger = DEFAULT_LEDGER,
+) -> tuple[float, float]:
+    """The simplified lower-bound table for (E, F), with the c_rp ledger entry."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    classify_case(r, p, n)  # domain validation
     ln = math.log(n)
     e2 = eps ** 2
     ep = eps ** (2.0 / p)
@@ -159,22 +168,7 @@ def _simplified_EF(r: float, p: float, n: int, eps: float) -> tuple[float, float
         F = ln ** (1.0 + 2.0 / p) * ep
     else:
         F = ln * ep
-    return E, F
-
-
-def lomain_EF_simplified(
-    r: float,
-    p: float,
-    n: int,
-    eps: float,
-    ledger: ConstantLedger = DEFAULT_LEDGER,
-) -> tuple[float, float]:
-    """The simplified lower-bound table for (E, F), with the c_rp ledger entry."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    classify_case(r, p, n)  # domain validation
     crp = ledger.get("c_rp")
-    E, F = _simplified_EF(r, p, n, eps)
     return crp * E, crp * F
 
 
@@ -213,7 +207,7 @@ def general_dimension(
         return c * Sw ** 2 * eps ** 2 / float(np.sum(w ** 2))
     D = float(_log_power_sum(w ** 2, p - 1.0, n))
     if p < 1.5:
-        B = float(np.sum(w ** 2 * np.arange(1, n + 1, dtype=float) ** (-(p - 1.0))))
+        B = float(np.sum(w ** 2 * _index_powers(n, p - 1.0)))
     elif p < 2.0:
         B = float(np.sum(w ** (2.0 / (2.0 - p))) ** (2.0 - p))
     else:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .constants import DEFAULT_LEDGER, ConstantLedger
 from .norms import _evaluate
+from .params import _index_powers
 from .regimes import classify_case
 
 
@@ -34,12 +35,7 @@ def grad_functional(r: float, p: float, x):
 
 def _grad_pair(r: float, p: float, n: int) -> tuple:
     """(coefficients, exponent) of the gradient functional."""
-    return _grad_weights(r, n), 2.0 * (p - 1.0)
-
-
-def _grad_weights(r: float, n: int) -> np.ndarray:
-    """i^(-2r) for i = 1..n, the weights of the gradient functional."""
-    return np.arange(1, n + 1, dtype=float) ** (-2.0 * r)
+    return _index_powers(n, 2.0 * r), 2.0 * (p - 1.0)
 
 
 def beta_weights(r: float, p: float, n: int) -> np.ndarray:
@@ -51,7 +47,7 @@ def beta_weights(r: float, p: float, n: int) -> np.ndarray:
     _check_classified("IVa", r, p, n)
     A = (1.0 - 2.0 * r) ** p * math.log(n) / n ** (1.0 - 2.0 * r)
     i = np.arange(1, int(n / math.e) + 1, dtype=float)
-    return A * i ** (-2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
+    return A * _index_powers(i.size, 2.0 * r) * np.log(n / i) ** (p - 1.0) + 1.0 / i
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,23 +109,24 @@ def make_sharp_spec(case: str, r: float, p: float, n: int, t: float = 1.0,
         else:
             B = C ** p
         S = (A + B * t ** q) ** (1.0 / q)
-        return SharpNormSpec(case, n, _grad_weights(r, n), q, S, 1.0)
+        return SharpNormSpec(case, n, _index_powers(n, 2.0 * r), q, S, 1.0)
     if case == "II":
         i = np.arange(1, int(n / math.e) + 1, dtype=float)
-        T = float(np.sum(i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
-        coeff = i ** (-2.0 * r) * (np.log(n / i) + t ** 2 / i) ** (-(3.0 - 2.0 * p) / 2.0)
+        w = _index_powers(i.size, 2.0 * r)
+        T = float(np.sum(w * (np.log(n / i) + t ** 2 / i) ** (p - 1.0)))
+        coeff = w * (np.log(n / i) + t ** 2 / i) ** (-(3.0 - 2.0 * p) / 2.0)
         K = math.ceil(n / i.size) * T ** (3.0 - 2.0 * p)
         return SharpNormSpec(case, n, coeff, 1.0, C * T, K)
     if case == "III":
-        coeff = _grad_weights(r, n)
+        coeff = _index_powers(n, 2.0 * r)
         S = C * n ** (1.0 - 2.0 * r) + C * n ** ((1.0 - 4.0 * r) / 2.0) \
             * (ln / (1.0 + (1.0 - 4.0 * r) * ln)) ** 0.5 * t
         return SharpNormSpec(case, n, coeff, 1.0, S,
                              float(np.sum(coeff) ** (3.0 - 2.0 * p)))
     if case == "IVa":
         beta = beta_weights(r, p, n)
-        i = np.arange(1, beta.size + 1, dtype=float)
-        coeff = beta ** (-(3.0 - 2.0 * p) / (2.0 * (p - 1.0))) * i ** (-r / (p - 1.0))
+        coeff = beta ** (-(3.0 - 2.0 * p) / (2.0 * (p - 1.0))) \
+            * _index_powers(beta.size, r / (p - 1.0))
         S = C ** (1.0 / (p - 1.0)) * (1.0 - 2.0 * r) ** (-p / q) \
             * ln ** (-(3.0 - 2.0 * p) / q) * n ** 0.5 \
             + C ** (1.0 / (p - 1.0)) * ln ** 0.5 * t

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -146,10 +147,10 @@ REPORT_SHA256 = {
         "62aed6b26627260467e3ed4db27d9edfa6ab413b792cd1cd92a60862dc82e886",
     "verify --kind embedding --r 0.3 --p 1.5 --n 2000 --k 8 --eps 0.2 --seed 1 "
     "--trials 10 --directions 4000":
-        "4205c3fce94fcf6f3f697fc7901bd6aba7659f246b26dca886a60153aae65023",
+        "e81bd299a54c3a01e5c894cc6afeafef1ef39d4ba6b8ac52587792b7fdbf5cc2",
     "verify --kind embedding --r 0.3 --p 1.5 --n 2000 --k 1 --eps 0.2 --seed 1 "
     "--trials 10 --directions 4000":
-        "076e27f30faa21059ff74afc190bec1b210936892ae1e75e4ce85fa375a7ecfe",
+        "d0d6b30d5ede723fd25a451bc275f510dcc215c36352fb8f2e5981450060b6ed",
     "calibrate --bound-name embedding_dimension --r 0.3 --p 1.5 --n 2000 --eps 0.2 "
     "--seed 101 --validation-seed 202 --trials 4 --directions 2000":
         "813ade6592b0287441bef640dac1da46d7323a2207e3aaa4701557afd0c71cbb",
@@ -193,6 +194,24 @@ def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[command]
+
+
+def test_one_worker_step_collects_every_node():
+    """Each pytest node that the workflow's `taskset -c 0` step names
+    collects at least one test, so that a rename cannot drop a test from the
+    one-worker run. The workflow is read as text: CI installs no YAML
+    parser."""
+    root = Path(__file__).parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    step = next(s for s in workflow.split("- name:") if "taskset -c 0" in s)
+    nodes = re.findall(r"\btests/\S+", step)
+    assert nodes
+    for node in nodes:  # one at a time: a node not found stops the collection
+        collected = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                                    "-p", "no:cacheprovider", node], cwd=root,
+                                   capture_output=True, text=True).stdout.splitlines()
+        assert any(line == node or line.startswith((node + "::", node + "["))
+                   for line in collected), f"{node} collects no test"
 
 
 class TestReproducibility:

@@ -48,6 +48,17 @@ class TestWilson:
         lo, hi = wilson_interval(20, 20)
         assert hi == 1.0 and lo > 0.7
 
+    @pytest.mark.parametrize("n", [1, 3, 10, 50, 100, 2000, 4000, 10 ** 4])
+    def test_edges_exact(self, n):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+
+    def test_other_counts_inside_the_unit_interval(self):
+        for n in (3, 10, 2000):
+            for s in range(1, n):
+                lo, hi = wilson_interval(s, n)
+                assert 0.0 < lo < s / n < hi < 1.0
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
@@ -430,6 +441,7 @@ SEARCHES = [
     ("all", 31, (1, 2, 4, 8, 16, 24, 28, 30, 31), 31),
     ("all", 0, (1,), 1),  # k = 1 is probed even under a cap of 0
     ("none", 7, (1,), 0),
+    ("none", 0, (1,), 0),  # k = 1 fails under a cap of 0
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -7,9 +8,11 @@ import pytest
 from lorentz_embed import (RandomStream, beta_weights, classify_case,
                            grad_functional, make_sharp_spec, sharp_norm,
                            verify_orderorder)
+from lorentz_embed.analytic import power_log_sum_exact
 from lorentz_embed.constants import DEFAULT_LEDGER
-from lorentz_embed.regimes import RegimeCase
-from lorentz_embed.sharp import SharpNormSpec
+from lorentz_embed.params import power_params
+from lorentz_embed.regimes import RegimeCase, general_dimension
+from lorentz_embed.sharp import SharpNormSpec, _grad_pair
 from oracle import weighted_power_sum
 
 # one representative (r, p) per case, all valid at n = 10^4
@@ -261,3 +264,38 @@ class TestChainFactor:
             spec = make_sharp_spec("III", r, p, n)
             rhs = sharp_norm(spec, x) ** (2.0 * (p - 1.0)) * H ** (3.0 - 2.0 * p)
             assert lhs <= rhs * (1.0 + 1e-12)
+
+
+# taken before the sequences shared one builder
+BUILT_BITS_SHA256 = "3cdf930c66df806e1b79880c3fbffa841b6a013defd11727abf47246997a338d"
+
+
+def built_bits() -> str:
+    """The bytes of every i^(-a) sequence the package builds, at fixed points:
+    power weights, gradient coefficients, each case's auxiliary norm with its
+    S and K, the Case IVa weights, the power/log sums and the general
+    dimension."""
+    values = []
+    for r in (0.0, 0.1, 0.3, 0.5, 0.75, 1.5):
+        for n in (1, 7, 1000, 10 ** 4):
+            values += [power_params(r, 2.0, n).weights, _grad_pair(r, 1.7, n)[0]]
+    for case, (r, p) in sorted(CASE_PARAMS.items()):
+        for n in (1000, 10 ** 4):
+            for t in (1.0, 3.0):
+                spec = make_sharp_spec(case, r, p, n, t)
+                values += [spec.coefficients, spec.S, spec.K]
+    values.append(beta_weights(0.3, 1.4, 10 ** 4))
+    for a, q, n in [(0.0, 1.0, 100), (0.6, 0.7, 1000), (1.0, 0.0, 50), (2.0, 1.5, 10 ** 4)]:
+        values.append(power_log_sum_exact(a, q, n))
+    for p in (1.0, 1.2, 1.4, 1.6, 3.0):
+        values.append(general_dimension(power_params(0.3, p, 1000), 0.1))
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(np.asarray(value, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def test_built_bits_pinned():
+    """Every i^(-a) sequence keeps the bits it had when pinned (numpy 2.4.6,
+    as for the pinned report digests)."""
+    assert built_bits() == BUILT_BITS_SHA256
