@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytic
 from .constants import ConstantLedger
-from .embedding import (_check_k, _max_deviation, sample_gaussian_matrix,
+from .embedding import (_check_k, _check_M, _max_deviation, sample_gaussian_matrix,
                         test_directions)
 from .norms import _blocked_sums
 from .params import LorentzParams, power_params
@@ -167,12 +167,14 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     from stream.substream(0).  The directions come from stream.substream(1),
     but at k = 1 are {1, -1}, undrawn: every drawn one is one of the two;
     trial j's matrix comes from stream.substream(2 + j), and the trial's max
-    deviation is the largest of its embedding._deviations.
+    deviation is embedding._max_deviation's; a given M is checked first.
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)
-    if M is None:
+    if M is not None:
+        _check_M(M)
+    else:
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
     dirs = (np.array([[1.0, -1.0]]) if k == 1
             else test_directions(k, directions, "random_sphere", stream.substream(1)))

@@ -243,16 +243,54 @@ def lorentz_norm(params: LorentzParams, x):
 
 
 def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
-                        directions: np.ndarray, blocks: list | None = None) -> np.ndarray:
-    """Lorentz norm of each column of G @ directions in blocks, some of
-    _block_bounds(n, m) (None: all; the others read NaN), for (n, k) G and
-    (k, m) directions, formed as in _power_sums: the same for any worker
-    count, and bitwise lorentz_norm(params, (directions.T @ G.T).T) only
-    where OpenBLAS forms each block's product as the rows of the whole one."""
+                        directions: np.ndarray) -> np.ndarray:
+    """Lorentz norm of each column of G @ directions, for (n, k) G and (k, m)
+    directions, formed as in _power_sums: the same for any worker count, and
+    bitwise lorentz_norm(params, (directions.T @ G.T).T) only where OpenBLAS
+    forms each block's product as the rows of the whole one."""
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
-    power = _power_sums([(params.weights, params.p)], G, directions, blocks)[0]
-    return power ** (1.0 / params.p)
+    return _power_sums([(params.weights, params.p)], G, directions)[0] ** (1.0 / params.p)
+
+
+def _image_norm_range(params: LorentzParams, G: np.ndarray, directions: np.ndarray):
+    """The float64 (min, max) of lorentz_norm_images(params, G, directions),
+    bitwise. A float32 screen forms every image and power on the kernel and
+    sums them in float64. E bounds its norm N's distance from the exact one
+    and from the float64 one (Higham 2002, ch. 3): gamma_{k+2} |theta|_2
+    |(|G_i|_2)_i|_p for the product (|.|_{w,p} <= |.|_p is a norm), gamma_2
+    at 2^-24 and gamma_{n+8} at 2^-53 of N / p for the powers and sums, and
+    underflow, doubled for the second-order terms. Only the blocks holding a
+    direction with N + E >= max(N - E) or N - E <= min(N + E) are formed in
+    float64, as in the full call; the others read NaN. The screen needs
+    correctly rounded powers (p in {1, 3/2, 2}), more than two blocks and
+    k > 2 (at k = 2 the directions near an extreme fill most blocks);
+    elsewhere, or if its sums are not all finite, every block is formed."""
+    G = _checked(params.n, G, (2,))
+    directions = _checked(G.shape[1], directions, (2,))
+    (n, k), p = G.shape, params.p
+    pair, blocks = (params.weights, p), _block_bounds(n, directions.shape[1])
+    if p in (1.0, 1.5, 2.0) and len(blocks) > 2 and k > 2:
+        sums = _power_sums([pair], G.astype(np.float32), directions)[0]
+        cols = np.sqrt(np.einsum("ij,ij->j", directions, directions))
+        lp = np.linalg.norm(np.sqrt(np.einsum("ij,ij->i", G, G)), p)
+
+        def gamma(count: int, u: float) -> float:  # of count roundings at u
+            return count * u / (1.0 - count * u)
+
+        u32, u64 = 2.0 ** -24, 2.0 ** -53
+        with np.errstate(all="ignore"):
+            N = sums ** (1.0 / p)
+            E = 2.0 * ((gamma(k + 2, u32) + gamma(k + 2, u64)) * cols * lp
+                       + (gamma(2, u32) + 2.0 * gamma(n + 8, u64)) * N / p
+                       + n ** (1.0 / p) * k * (max(G.max(), -G.min()) + cols + 1.0)
+                       * 2.0 ** -149 + (n * 2.0 ** -147) ** (1.0 / p))
+            top, bottom = np.max(N - E), np.min(N + E)
+        if np.isfinite([top, bottom]).all():
+            near = (N + E >= top) | (N - E <= bottom)
+            blocks = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
+    N = _power_sums([pair], G, directions, blocks)[0] ** (1.0 / p)
+    return np.nanmin(N), np.nanmax(N)
 
 
 def psi(params: LorentzParams, x):

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorentz_embed import (LorentzParams, RandomStream, estimate_median_norm,
-                           lorentz_norm, lorentz_norm_images, measure_distortion,
-                           norms, power_params, sample_gaussian_matrix)
-from lorentz_embed.cli import _load_weights_file
-from lorentz_embed.embedding import _deviations, _max_deviation
+from lorentz_embed import (RandomStream, estimate_median_norm, lorentz_norm,
+                           lorentz_norm_images, measure_distortion, norms,
+                           power_params, sample_gaussian_matrix)
+from lorentz_embed.embedding import _max_deviation
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
-from oracle import identity_injection
+from oracle import identity_injection, weighted_params
 
 
 class TestRandomStream:
@@ -160,19 +159,8 @@ class TestMeasureDistortion:
             measure_distortion(G, power_params(0.0, 2.0, 5), 0.0, dirs)
 
 
-def _weighted(kind, p, n, tmp_path):
-    """Flat or power weights, or the weights a weights file gives: steps down
-    to 0, or to 1e-40."""
-    if kind in ("flat", "power"):
-        return power_params(0.0 if kind == "flat" else 0.3, p, n)
-    last = "0" if kind == "file" else "1e-40"
-    path = tmp_path / "weights.txt"
-    path.write_text("\n".join(["1"] * 5 + ["0.5"] * (n - 10) + [last] * 5) + "\n")
-    return LorentzParams(_load_weights_file({"weights_file": str(path)}), p)
-
-
 class TestMaxDeviation:
-    """_max_deviation is bitwise float(np.max(_deviations(...)))."""
+    """_max_deviation is bitwise measure_distortion(...).max_rel_dev."""
 
     N = 300
 
@@ -189,14 +177,14 @@ class TestMaxDeviation:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 0.5])
     @pytest.mark.parametrize("weights", ["flat", "power", "file", "file_tiny"])
     def test_equals_the_float64_maximum(self, weights, p, tmp_path):
-        params = _weighted(weights, p, self.N, tmp_path)
+        params = weighted_params(weights, p, self.N, tmp_path)
         rng = np.random.default_rng(int(p * 10) + len(weights))
         for k in (1, 2, 3, 8, 80):
             G = rng.standard_normal((self.N, k))
             for m in (1, 9, 20, 203):
                 D = make_directions(k, m, "random_sphere", RandomStream(m + k))
                 M = self.median_M(params, G, D)
-                want = float(np.max(_deviations(G, params, M, D)))
+                want = measure_distortion(G, params, M, D).max_rel_dev
                 assert _max_deviation(G, params, M, D) == want, (k, m)
 
     @pytest.mark.parametrize("tie", ["mirror", 1e-9, 1e-7])
@@ -212,7 +200,8 @@ class TestMaxDeviation:
         G = rng.standard_normal((self.N, 8))
         D = make_directions(8, 203, "random_sphere", RandomStream(8))
         M = self.median_M(params, G, D)
-        theta = D[:, np.argmax(_deviations(G, params, M, D))].copy()
+        devs = np.abs(lorentz_norm_images(params, G, D) / M - 1.0)
+        theta = D[:, np.argmax(devs)].copy()
         for j, (lo, _) in enumerate(norms._block_bounds(self.N, 203)):
             if tie == "mirror":
                 D[:, lo] = theta if j % 2 else -theta
@@ -221,7 +210,7 @@ class TestMaxDeviation:
                 D[:, lo] = theta
                 D[:2, lo] = (np.cos(a) * theta[0] - np.sin(a) * theta[1],
                              np.sin(a) * theta[0] + np.cos(a) * theta[1])
-        want = float(np.max(_deviations(G, params, M, D)))
+        want = measure_distortion(G, params, M, D).max_rel_dev
         assert _max_deviation(G, params, M, D) == want
 
     def test_float32_overflow_takes_the_float64_pass(self):
@@ -230,8 +219,17 @@ class TestMaxDeviation:
         G = np.random.default_rng(3).standard_normal((self.N, 8)) * 1e20
         D = make_directions(8, 203, "random_sphere", RandomStream(9))
         M = self.median_M(params, G, D)
-        want = float(np.max(_deviations(G, params, M, D)))
+        want = measure_distortion(G, params, M, D).max_rel_dev
         assert _max_deviation(G, params, M, D) == want
+
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_M_not_positive_and_finite(self, M):
+        params = power_params(0.3, 1.5, self.N)
+        G = np.ones((self.N, 8))
+        D = make_directions(8, 203, "random_sphere", RandomStream(8))
+        for measure in (_max_deviation, measure_distortion):
+            with pytest.raises(ValueError, match=f"M must be positive and finite, got {M}"):
+                measure(G, params, M, D)
 
     def test_rejects_what_deviations_rejects(self):
         params = power_params(0.3, 1.5, self.N)

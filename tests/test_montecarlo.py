@@ -10,7 +10,7 @@ import pytest
 
 from lorentz_embed import (LorentzParams, RandomStream, calibrate,
                            calibrate_embedding_dimension, estimate_median_norm,
-                           estimate_median_psi, lorentz_norm,
+                           estimate_median_psi, lorentz_norm, measure_distortion,
                            power_params, sample_gaussian_matrix, scaling_probe,
                            verify_embedding, verify_orderorder,
                            wilson_interval)
@@ -19,7 +19,6 @@ from lorentz_embed import test_directions as make_directions
 from lorentz_embed import montecarlo, norms
 from lorentz_embed.cli import _load_weights_file
 from lorentz_embed.constants import DEFAULT_LEDGER, ConstantLedger
-from lorentz_embed.embedding import _deviations
 from lorentz_embed.sharp import grad_functional, make_sharp_spec, sharp_norm
 from oracle import identity_injection, weighted_power_sum
 
@@ -286,6 +285,16 @@ class TestVerifyOrderOrder:
 
 
 class TestVerifyEmbedding:
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_M_before_any_draw(self, M, monkeypatch):
+        def no_draws(self):
+            raise AssertionError("sampled before M was rejected")
+
+        monkeypatch.setattr(RandomStream, "generator", no_draws)
+        with pytest.raises(ValueError, match=f"M must be positive and finite, got {M}"):
+            verify_embedding(power_params(0.3, 1.5, 300), 4, 0.2, 3, 50,
+                             RandomStream(1), M=M)
+
     def test_identity_isometry_always_succeeds(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "sample_gaussian_matrix", identity_injection)
         params = power_params(0.0, 2.0, 30)
@@ -350,7 +359,7 @@ class TestVerifyEmbedding:
         dirs = make_directions(8, 4000, "random_sphere", stream.substream(1))
         for trial, dev in enumerate(res.max_devs):
             G = sample_gaussian_matrix(2000, 8, stream.substream(2 + trial))
-            assert dev == np.max(_deviations(G, params, M, dirs))
+            assert dev == measure_distortion(G, params, M, dirs).max_rel_dev
 
     @pytest.mark.parametrize("p", [1.5, 4.0])
     @pytest.mark.parametrize("weights", ["flat", "power", "file"])
@@ -377,7 +386,7 @@ class TestVerifyEmbedding:
         dirs = make_directions(1, 2000, "random_sphere", stream.substream(1))
         for trial, dev in enumerate(res.max_devs):
             G = sample_gaussian_matrix(2000, 1, stream.substream(2 + trial))
-            assert dev == np.max(_deviations(G, params, M, dirs))
+            assert dev == measure_distortion(G, params, M, dirs).max_rel_dev
 
 
 class TestCalibrate:

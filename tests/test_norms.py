@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lorentz_embed import (LorentzParams, grad_functional,
+from lorentz_embed import (LorentzParams, RandomStream, grad_functional,
                            lipschitz_constant, lipschitz_maximizer,
                            lorentz_norm, lorentz_norm_images, make_sharp_spec,
                            power_params, psi, psi_gradient_norm, sharp_norm)
 from lorentz_embed import norms
-from lorentz_embed.norms import _power_sums
-from oracle import weighted_power_sum
+# alias: pytest would otherwise collect the library function as a test
+from lorentz_embed import test_directions as make_directions
+from lorentz_embed.norms import _image_norm_range, _power_sums
+from oracle import weighted_params, weighted_power_sum
 
 finite_vectors = hnp.arrays(
     np.float64, st.integers(1, 12),
@@ -437,16 +439,14 @@ class TestImagesKernel:
         G = rng.standard_normal((300, 4))
         D = rng.standard_normal((4, 203))
         blocks = norms._block_bounds(300, 203)
-        full = (_power_sums(pairs, G, D)[0], lorentz_norm_images(params, G, D))
+        full = _power_sums(pairs, G, D)[0]
         for chosen in ([blocks[3]], [blocks[3], blocks[20]]):
             formed = np.zeros(203, dtype=bool)
             for lo, hi in chosen:
                 formed[lo:hi] = True
-            parts = (_power_sums(pairs, G, D, groups=chosen)[0],
-                     lorentz_norm_images(params, G, D, blocks=chosen))
-            for got, want in zip(parts, full):
-                assert np.isnan(got[~formed]).all()
-                assert np.array_equal(got[formed], want[formed])
+            got = _power_sums(pairs, G, D, groups=chosen)[0]
+            assert np.isnan(got[~formed]).all()
+            assert np.array_equal(got[formed], full[formed])
 
     def test_rejects_mismatched_shapes(self, rng):
         params = power_params(0.3, 1.5, 10)
@@ -457,6 +457,70 @@ class TestImagesKernel:
                            match="expected an \\(2, m\\) matrix, got shape \\(3, 4\\)"):
             lorentz_norm_images(params, rng.standard_normal((10, 2)),
                                 rng.standard_normal((3, 4)))
+
+
+class TestImageNormRange:
+    """_image_norm_range is bitwise the min and max of lorentz_norm_images."""
+
+    N = 300
+
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        # blocks at most 8 wide at n = 300: m = 1, 9, 20, 203 give 1, 2, 3
+        # and 26 blocks, the last of widths 7 and 8
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 8 * self.N)
+
+    @staticmethod
+    def assert_range(params, G, D):
+        images = lorentz_norm_images(params, G, D)
+        low, high = _image_norm_range(params, G, D)
+        assert (low, high) == (np.min(images), np.max(images))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 0.5])
+    @pytest.mark.parametrize("weights", ["flat", "power", "file", "file_tiny"])
+    def test_equals_the_float64_extremes(self, weights, p, workers, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(norms, "_WORKERS", workers)
+        params = weighted_params(weights, p, self.N, tmp_path)
+        rng = np.random.default_rng(int(p * 10) + len(weights))
+        for k in (1, 2, 3, 8, 80):
+            G = rng.standard_normal((self.N, k))
+            for m in (1, 9, 20, 203):
+                self.assert_range(params, G, make_directions(
+                    k, m, "random_sphere", RandomStream(m + k)))
+
+    @pytest.mark.parametrize("tie", ["mirror", 1e-9, 1e-7])
+    @pytest.mark.parametrize("r, p", [(0.0, 1.5), (0.3, 1.5), (0.3, 2.0), (0.5, 1.0)])
+    def test_near_ties_at_both_extremes(self, tie, r, p):
+        # the first two columns of block j of the 26 get the directions of
+        # the smallest and the largest norm, or their negatives, or each
+        # turned by (j + 1) * tie rad. Turned by 1e-9, most copies round to
+        # the same float32 entries and tie; turned by 1e-7, float32 orders
+        # them by its rounding alone, and only the margin E keeps the blocks
+        # of the float64 extremes
+        params = power_params(r, p, self.N)
+        G = np.random.default_rng(7).standard_normal((self.N, 8))
+        D = make_directions(8, 203, "random_sphere", RandomStream(8))
+        images = lorentz_norm_images(params, G, D)
+        extremes = D[:, [np.argmin(images), np.argmax(images)]].T.copy()
+        for j, (lo, _) in enumerate(norms._block_bounds(self.N, 203)):
+            for col, theta in zip((lo, lo + 1), extremes):
+                if tie == "mirror":
+                    D[:, col] = theta if j % 2 else -theta
+                else:
+                    a = (j + 1) * tie
+                    D[:, col] = theta
+                    D[:2, col] = (np.cos(a) * theta[0] - np.sin(a) * theta[1],
+                                  np.sin(a) * theta[0] + np.cos(a) * theta[1])
+        self.assert_range(params, G, D)
+
+    def test_float32_overflow_takes_the_float64_pass(self):
+        # images near 1e20 square past float32's range, not float64's
+        params = power_params(0.3, 2.0, self.N)
+        G = np.random.default_rng(3).standard_normal((self.N, 8)) * 1e20
+        self.assert_range(params, G, make_directions(8, 203, "random_sphere",
+                                                     RandomStream(9)))
 
 
 class TestPowerSumPairs:
