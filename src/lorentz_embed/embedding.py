@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .norms import _image_norm_range, lorentz_norm_images
+from .norms import _checked, _image_norm_range, _screen, lorentz_norm_images
 from .params import LorentzParams
 from .streams import RandomStream
 
@@ -74,8 +74,30 @@ def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
     M > 0, x / M - 1 is two correctly rounded steps that never decrease in x,
     and fl(1 - y) = -fl(y - 1), so the smallest or largest norm gives it."""
     _check_M(M)
-    low, high = _image_norm_range(params, G, directions)
-    return float(max(high / M - 1.0, 1.0 - low / M))
+    return float(_deviation(*_image_norm_range(params, G, directions), M))
+
+
+def _deviation(low, high, M: float):
+    """max |N / M - 1| over N in [low, high]; it never falls as high rises or low falls."""
+    return max(high / M - 1.0, 1.0 - low / M)
+
+
+def _trial_passes(G: np.ndarray, params: LorentzParams, M: float,
+                  directions: np.ndarray, eps: float) -> bool:
+    """_max_deviation(G, params, M, directions) <= eps, bitwise. For p in
+    {1, 3/2, 2} and k >= 2, norms._screen summed in float32 encloses the
+    float64 extreme norms, l0 <= low <= l1 and h0 <= high <= h1; only where
+    the deviation's enclosure straddles eps, or is not finite, is it formed."""
+    _check_M(M)
+    G = _checked(params.n, G, (2,))
+    directions = _checked(G.shape[1], directions, (2,))
+    if params.p in (1.0, 1.5, 2.0) and G.shape[1] >= 2:
+        lower, upper = _screen(params, G, directions, np.float32)
+        l0, l1, h0, h1 = np.min(lower), np.min(upper), np.max(lower), np.max(upper)
+        if (np.isfinite([l0, l1, h0, h1]).all()
+                and not _deviation(l1, h0, M) <= eps < _deviation(l0, h1, M)):
+            return bool(_deviation(l1, h0, M) <= eps)
+    return _max_deviation(G, params, M, directions) <= eps
 
 
 def measure_distortion(

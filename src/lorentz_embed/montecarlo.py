@@ -11,8 +11,8 @@ import numpy as np
 
 from . import analytic
 from .constants import ConstantLedger
-from .embedding import (_check_k, _check_M, _max_deviation, sample_gaussian_matrix,
-                        test_directions)
+from .embedding import (_check_k, _check_M, _max_deviation, _trial_passes,
+                        sample_gaussian_matrix, test_directions)
 from .norms import _blocked_sums
 from .params import LorentzParams, power_params
 from .regimes import _check_eps, corollary_dimension_rp
@@ -164,10 +164,10 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     """Success rate of the (1 +- eps) event over random matrices and directions.
 
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
-    from stream.substream(0).  The directions come from stream.substream(1),
-    but at k = 1 are {1, -1}, undrawn: every drawn one is one of the two;
-    trial j's matrix comes from stream.substream(2 + j), and the trial's max
-    deviation is embedding._max_deviation's; a given M is checked first.
+    from stream.substream(0); a given M is checked first. The draws are
+    _trial_draws'; each trial's max deviation is embedding._max_deviation's,
+    exact, since the one caller in the package, `verify --kind embedding`,
+    reports its quantiles. The k-searches of calibrate and probe take _passes.
     """
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
@@ -176,16 +176,30 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
         _check_M(M)
     else:
         M = estimate_median_norm(params, MEDIAN_SAMPLES, stream.substream(0))
-    dirs = (np.array([[1.0, -1.0]]) if k == 1
-            else test_directions(k, directions, "random_sphere", stream.substream(1)))
-    max_devs = np.array([
-        _max_deviation(sample_gaussian_matrix(params.n, k, stream.substream(2 + j)),
-                       params, M, dirs) for j in range(trials)])
+    dirs, draw = _trial_draws(params.n, k, directions, stream)
+    max_devs = np.array([_max_deviation(draw(j), params, M, dirs) for j in range(trials)])
     successes = int(np.sum(max_devs <= eps))
     lo, hi = wilson_interval(successes, trials)
     return EmbeddingVerification(success_rate=successes / trials, ci_low=lo,
                                  ci_high=hi, trials=trials, k=k, eps=eps,
                                  M_used=M, max_devs=tuple(max_devs))
+
+
+def _trial_draws(n: int, k: int, directions: int, stream: RandomStream) -> tuple:
+    """The directions, from stream.substream(1) (at k = 1 {1, -1}, undrawn:
+    every drawn one is one of the two), and draw(j), trial j's G from
+    substream(2 + j), drawn when asked, so that one G at a time is held."""
+    dirs = (np.array([[1.0, -1.0]]) if k == 1
+            else test_directions(k, directions, "random_sphere", stream.substream(1)))
+    return dirs, lambda j: sample_gaussian_matrix(n, k, stream.substream(2 + j))
+
+
+def _passes(params: LorentzParams, k: int, eps: float, trials: int,
+            directions: int, stream: RandomStream, M: float) -> int:
+    """How many trials of verify_embedding(params, k, eps, trials, directions,
+    stream, M) pass, on its draws, by embedding._trial_passes."""
+    dirs, draw = _trial_draws(params.n, k, directions, stream)
+    return sum(_trial_passes(draw(j), params, M, dirs, eps) for j in range(trials))
 
 
 def _check_seed_split(fit_seed: int, validation_seed: int):
@@ -242,9 +256,9 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
     validate it on another.
 
     fitted_constant is the largest true/shape ratio on the fit grid; validation
-    counts the grid points exceeding it (with a 5% slack for stochastic
-    oracles).  The CLI dispatches its target 'success_rate' to
-    calibrate_embedding_dimension instead.
+    counts the points of a held-out grid, details["validation_grid"], that
+    exceed it (with a 5% slack for stochastic oracles).  The CLI dispatches
+    its target 'success_rate' to calibrate_embedding_dimension instead.
     """
     _check_seed_split(fit_stream.master_seed, validation_stream.master_seed)
     param_grid = tuple(map(tuple, param_grid))
@@ -261,52 +275,61 @@ def calibrate(bound_name: str, param_grid, fit_stream: RandomStream,
         if "n" in coordinates and point[coordinates.index("n")] % 1 != 0:
             raise ValueError(f"grid_file point {list(point)}: n must be an integer")
 
-    def evaluated(stream: RandomStream) -> list:
-        """(true, shape) at each grid point with shape > 0; point j draws
-        from stream.substream(j)."""
-        kept = []
-        for j, point in enumerate(param_grid):
-            try:
-                true, shape = evaluate(*point, stream.substream(j))
-            except OverflowError:
-                true = shape = math.inf
-            if not (math.isfinite(true) and math.isfinite(shape)):
-                raise ValueError(f"grid_file point {list(point)}: {bound_name} "
-                                 f"does not evaluate to finite numbers")
-            if shape > 0.0:
-                kept.append((true, shape))
-            elif true != 0.0:
-                raise ValueError(f"shape is 0 but the quantity is {true} at {point}")
-        return kept
+    def evaluated(point: tuple, stream: RandomStream):
+        """(true, shape) at point, None where shape <= 0 and true = 0."""
+        try:
+            true, shape = evaluate(*point, stream)
+        except OverflowError:
+            true = shape = math.inf
+        if not (math.isfinite(true) and math.isfinite(shape)):
+            raise ValueError(f"grid_file point {list(point)}: {bound_name} "
+                             f"does not evaluate to finite numbers")
+        if shape <= 0.0 and true != 0.0:
+            raise ValueError(f"shape is 0 but the quantity is {true} at {point}")
+        return (true, shape) if shape > 0.0 else None
 
-    ratios = [true / shape for true, shape in evaluated(fit_stream)]
+    fits = [evaluated(point, fit_stream.substream(j)) for j, point in enumerate(param_grid)]
+    ratios = [true / shape for true, shape in filter(None, fits)]
     if not ratios:
         raise ValueError("bound never evaluable on grid")
     fitted = max(ratios)
-    checked = evaluated(validation_stream)
+    # held out: fit point j moved by 1.1^U per coordinate, U uniform in [-1, 1]
+    # from validation substream j (n rounded), or itself if the oracle rejects that
+    checked, validation_grid = [], []
+    for j, point in enumerate(param_grid):
+        stream = validation_stream.substream(j)
+        factors = (1.1 ** stream.generator().uniform(-1.0, 1.0, len(point))).tolist()
+        moved = tuple(round(x * f) if name == "n" else x * f
+                      for name, x, f in zip(coordinates, point, factors))
+        try:
+            value = evaluated(moved, stream)
+        except ValueError:
+            moved, value = point, evaluated(point, stream)
+        validation_grid.append(list(moved))
+        checked += [value] if value else []
     violations = sum(true > 1.05 * fitted * shape for true, shape in checked)
     return CalibrationRecord(bound_name=bound_name, fitted_constant=fitted,
                              fit_grid=param_grid,
                              validation_violation_rate=violations / len(checked),
                              fit_seed=fit_stream.master_seed,
                              validation_seed=validation_stream.master_seed,
-                             details={"ratio_min": min(ratios), "ratio_max": fitted})
+                             details={"ratio_min": min(ratios), "ratio_max": fitted,
+                                      "validation_grid": validation_grid})
 
 
 def _largest_successful_k(params: LorentzParams, eps: float, trials: int,
                           directions: int, threshold: float,
                           stream: RandomStream, M: float,
                           k_cap: int) -> dict:
-    """The success rate at each k that a binary search (to +-1) for the
-    largest passing k probes, keyed by ascending k; _k_star reads that k.
-    Fresh substreams per probed k avoid adaptive bias.  k = 1, the first
-    doubling step, is probed even where k_cap is 0, and alone when it fails."""
+    """The success rate (_passes) at each k that a search for the largest
+    passing k probes, doubling k from 1, then bisecting to +-1; keyed by
+    ascending k, _k_star reads that k. Fresh substreams per probed k avoid
+    adaptive bias. k = 1 is probed even where k_cap is 0, alone if it fails."""
     observed = {}
 
     def success_rate(k: int) -> float:  # no k is probed twice
-        res = verify_embedding(params, k, eps, trials, directions,
-                               stream.substream(k), M=M)
-        observed[k] = res.success_rate
+        observed[k] = _passes(params, k, eps, trials, directions,
+                              stream.substream(k), M) / trials
         return observed[k]
 
     cap = max(k_cap, 1)
@@ -336,9 +359,9 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
                                   validation_stream: RandomStream) -> CalibrationRecord:
     """Fit c_dim so that k = c_dim * (shape d') succeeds with high probability.
 
-    Binary-searches the largest k whose fit success rate reaches
-    CALIBRATE_THRESHOLD, shrinks it by CALIBRATE_SAFETY, and reports the
-    validation failure rate at the resulting k on the held-out stream.
+    Searches (k doubles, then bisects) the largest k whose fit success rate
+    reaches CALIBRATE_THRESHOLD, shrinks it by CALIBRATE_SAFETY, and reports
+    the validation failure rate at the resulting k on the held-out stream.
 
     The search is capped at k_cap: the shape value of the dimension bound
     rounded up (a relative excess below 1e-9 is rounding error, not a fraction
@@ -361,19 +384,19 @@ def calibrate_embedding_dimension(r: float, p: float, n: int, eps: float,
                          f"threshold even at k = 1 (rates: {rates})")
     k_use = max(1, int(CALIBRATE_SAFETY * k_star))
     fitted = k_use / shape
-    val = verify_embedding(params, k_use, eps, trials, directions,
-                           validation_stream.substream(0), M=M)
+    passed = _passes(params, k_use, eps, trials, directions,
+                     validation_stream.substream(0), M)
     return CalibrationRecord(
         bound_name="embedding_dimension",
         fitted_constant=fitted,
         fit_grid=((r, p, n, eps),),
-        validation_violation_rate=1.0 - val.success_rate,
+        validation_violation_rate=1.0 - passed / trials,
         fit_seed=fit_stream.master_seed,
         validation_seed=validation_stream.master_seed,
         details={"k_star": k_star, "k_use": k_use, "shape_dprime": shape,
                  "k_cap": k_cap, "capped": k_star >= k_cap,
-                 "validation_success_rate": val.success_rate,
-                 "validation_ci_low": val.ci_low,
+                 "validation_success_rate": passed / trials,
+                 "validation_ci_low": wilson_interval(passed, trials)[0],
                  "fit_rates": {str(k): v for k, v in rates.items()}},
     )
 

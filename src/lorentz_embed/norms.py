@@ -147,8 +147,8 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
     c[0]. The other pairs share one ascending sort of the rows, so the
     largest len(c) entries of a vector are the tail of its row. A pair with
     q != 1 powers A in place if it comes last with whole rows, else a copy.
-    The sums are float64: a float32 block's powers are weighted and summed
-    in float64."""
+    A block is summed in its coefficients' dtype: float32 ones take a float32
+    GEMV, float64 ones sum a float32 block's powers in float64."""
     n, last = A.shape[1], len(pairs) - 1
     order = sorted(range(len(pairs)), key=lambda j: not flat[j])
     for i, j in enumerate(order):
@@ -159,11 +159,11 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
         if q != 1.0 and (i != last or c.size < n):
             top = top.copy()
         _power_in_place(top, q)
-        if flat[j]:
+        if flat[j] and c.dtype == np.float64:
             np.sum(top, axis=1, dtype=float, out=out[rows])
             out[rows] *= c[0]
-        elif top.dtype == np.float64:
-            out[rows] = top @ c[::-1]
+        elif top.dtype == c.dtype:  # BLAS needs the copy; float64 keeps its bits
+            out[rows] = top @ (c[::-1].copy() if c.dtype == np.float32 else c[::-1])
         else:
             np.einsum("ij,j->i", top, c[::-1], dtype=float, out=out[rows])
 
@@ -253,43 +253,53 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
     return _power_sums([(params.weights, params.p)], G, directions)[0] ** (1.0 / params.p)
 
 
+def _screen(params: LorentzParams, G: np.ndarray, directions: np.ndarray,
+            dtype) -> tuple:
+    """(N - E, N + E), p in {1, 3/2, 2}: N is each image norm formed on the
+    kernel in float32 and summed in dtype; E bounds its distance from the exact
+    and the float64 norm (Higham 2002, ch. 3) by gamma_{k+2} |theta|_2
+    |(|G_i|_2)_i|_p for the product (a norm below |.|_p), gamma_2 at 2^-24 and
+    gamma_{n+8} at 2^-53 of N / p for the powers and float64 sums, underflow,
+    and for float32 sums in any order gamma_{n+2} at 2^-24 of N / p (w_1 = 1
+    bounds a subnormal coefficient's rounding), doubled for second order."""
+    (n, k), p = G.shape, params.p
+    sums = _power_sums([(params.weights.astype(dtype, copy=False), p)],
+                       G.astype(np.float32), directions)[0]
+    cols = np.sqrt(np.einsum("ij,ij->j", directions, directions))
+    lp = np.linalg.norm(np.sqrt(np.einsum("ij,ij->i", G, G)), p)
+
+    def gamma(count: int, u: float) -> float:  # of count roundings at u
+        return count * u / (1.0 - count * u)
+
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    with np.errstate(all="ignore"):
+        N = sums ** (1.0 / p)
+        E = 2.0 * ((gamma(k + 2, u32) + gamma(k + 2, u64)) * cols * lp
+                   + (gamma(2, u32) + 2.0 * gamma(n + 8, u64)
+                      + gamma(n + 2, u32 if dtype == np.float32 else 0.0)) * N / p
+                   + n ** (1.0 / p) * k * (max(G.max(), -G.min()) + cols + 1.0)
+                   * 2.0 ** -149 + (n * 2.0 ** -147) ** (1.0 / p))
+        return N - E, N + E
+
+
 def _image_norm_range(params: LorentzParams, G: np.ndarray, directions: np.ndarray):
     """The float64 (min, max) of lorentz_norm_images(params, G, directions),
-    bitwise. A float32 screen forms every image and power on the kernel and
-    sums them in float64. E bounds its norm N's distance from the exact one
-    and from the float64 one (Higham 2002, ch. 3): gamma_{k+2} |theta|_2
-    |(|G_i|_2)_i|_p for the product (|.|_{w,p} <= |.|_p is a norm), gamma_2
-    at 2^-24 and gamma_{n+8} at 2^-53 of N / p for the powers and sums, and
-    underflow, doubled for the second-order terms. Only the blocks holding a
-    direction with N + E >= max(N - E) or N - E <= min(N + E) are formed in
-    float64, as in the full call; the others read NaN. The screen needs
-    correctly rounded powers (p in {1, 3/2, 2}), more than two blocks and
-    k > 2 (at k = 2 the directions near an extreme fill most blocks);
-    elsewhere, or if its sums are not all finite, every block is formed."""
+    bitwise. For p in {1, 3/2, 2}, more than two blocks and k > 2 (at k = 2
+    the directions near an extreme fill most blocks), _screen summed in
+    float64 picks the blocks formed as in the full call, those with a
+    direction with N + E >= max(N - E) or N - E <= min(N + E); the others
+    read NaN. Elsewhere, or if its bounds are not finite, all are formed."""
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
     (n, k), p = G.shape, params.p
-    pair, blocks = (params.weights, p), _block_bounds(n, directions.shape[1])
+    blocks = _block_bounds(n, directions.shape[1])
     if p in (1.0, 1.5, 2.0) and len(blocks) > 2 and k > 2:
-        sums = _power_sums([pair], G.astype(np.float32), directions)[0]
-        cols = np.sqrt(np.einsum("ij,ij->j", directions, directions))
-        lp = np.linalg.norm(np.sqrt(np.einsum("ij,ij->i", G, G)), p)
-
-        def gamma(count: int, u: float) -> float:  # of count roundings at u
-            return count * u / (1.0 - count * u)
-
-        u32, u64 = 2.0 ** -24, 2.0 ** -53
-        with np.errstate(all="ignore"):
-            N = sums ** (1.0 / p)
-            E = 2.0 * ((gamma(k + 2, u32) + gamma(k + 2, u64)) * cols * lp
-                       + (gamma(2, u32) + 2.0 * gamma(n + 8, u64)) * N / p
-                       + n ** (1.0 / p) * k * (max(G.max(), -G.min()) + cols + 1.0)
-                       * 2.0 ** -149 + (n * 2.0 ** -147) ** (1.0 / p))
-            top, bottom = np.max(N - E), np.min(N + E)
+        lower, upper = _screen(params, G, directions, np.float64)
+        top, bottom = np.max(lower), np.min(upper)
         if np.isfinite([top, bottom]).all():
-            near = (N + E >= top) | (N - E <= bottom)
+            near = (upper >= top) | (lower <= bottom)
             blocks = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
-    N = _power_sums([pair], G, directions, blocks)[0] ** (1.0 / p)
+    N = _power_sums([(params.weights, p)], G, directions, blocks)[0] ** (1.0 / p)
     return np.nanmin(N), np.nanmax(N)
 
 

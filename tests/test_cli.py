@@ -159,19 +159,19 @@ REPORT_SHA256 = {
         "477c9387b3e861b993d2c46c043dd4e3312050981020379cfd0e380c96d913f9",
     "calibrate --bound-name power_log_sum --target two_sided_ratio "
     "--grid-file log_sum.json --seed 5 --validation-seed 6":
-        "9dea25ee731954fec52ad95a2d0f55c2ad43007cbfa95512c582af0a5ec3ac10",
+        "0a067a0973b6216154a04c1ecf78ed6969d337cb15171b239c4e116eac97a713",
     "calibrate --bound-name incomplete_gamma_decay --target two_sided_ratio "
     "--grid-file gamma.json --seed 5 --validation-seed 6":
-        "c94505f28dce0175044ac102aea1978c212cc2981bdb4ffec48e04c3d3e3d34f",
+        "6928e98e4fa26494c27c92c6244d0b7d1f2b536249a8ce47c7b0a385e4534d6f",
     "calibrate --bound-name incomplete_gamma_growth --target two_sided_ratio "
     "--grid-file gamma.json --seed 5 --validation-seed 6":
-        "0591fcdd91fc869290b021c2d296d37e401c0f98c157b7c89edfca9843de6d8f",
+        "d37f478a487c31fc17d041fd8489362a8d5a19c1ce9d34498c70e9c5b75f7727",
     "calibrate --bound-name power_integral --target two_sided_ratio "
     "--grid-file integral.json --seed 5 --validation-seed 6":
-        "874ffdeedd9277ea1e35fd7b7c37f6f4cc6b16f3c8f6bacf6a78a8c1afc23a99",
+        "e92da0743c7302123a9bab6e63b282a00d17d23a2152419c3fe771581257ce8c",
     "calibrate --bound-name median_psi --target two_sided_ratio "
     "--grid-file median_psi.json --seed 5 --validation-seed 6":
-        "ae8d353f725e4d074bb482195fb209d8bbaa73bb938b2c65a36e49989256f544",
+        "0a2e86227830c104b4ba1aa5ade6de45fbf3f805b22d946cd638f32470b80d85",
 }
 # the grid files of the two-sided calibrations above
 GRID_FILES = {"log_sum.json": [[0, 0, 100], [0.5, 1, 1000], [2, 1, 10000]],

@@ -5,7 +5,7 @@ from scipy import stats
 from lorentz_embed import (RandomStream, estimate_median_norm, lorentz_norm,
                            lorentz_norm_images, measure_distortion, norms,
                            power_params, sample_gaussian_matrix)
-from lorentz_embed.embedding import _max_deviation
+from lorentz_embed.embedding import _max_deviation, _trial_passes
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
 from oracle import identity_injection, weighted_params
@@ -245,3 +245,91 @@ class TestMaxDeviation:
         G[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             _max_deviation(G, params, 1.0, D)
+
+
+class TestTrialPasses:
+    """_trial_passes is bitwise _max_deviation(...) <= eps, and forms float64
+    blocks only where its float32 enclosure cannot decide."""
+
+    N = 300
+
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        # m = 1, 9, 20, 203 give 1, 2, 3 and 26 blocks at n = 300
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 8 * self.N)
+
+    @staticmethod
+    def assert_decides(G, params, M, D):
+        # eps at the deviation, at its two float neighbours and 0.1 % off it
+        dev = _max_deviation(G, params, M, D)
+        for eps in (dev, np.nextafter(dev, 0.0), np.nextafter(dev, 1.0),
+                    0.999 * dev, 1.001 * dev):
+            assert _trial_passes(G, params, M, D, eps) == (dev <= eps), eps
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("weights", ["flat", "power", "file", "file_tiny"])
+    def test_decides_as_the_float64_maximum(self, weights, p, tmp_path):
+        params = weighted_params(weights, p, self.N, tmp_path)
+        rng = np.random.default_rng(int(p * 10) + len(weights))
+        for k in (1, 2, 3, 8, 80):
+            G = rng.standard_normal((self.N, k))
+            for m in (1, 9, 20, 203):
+                D = make_directions(k, m, "random_sphere", RandomStream(m + k))
+                M = float(np.median(lorentz_norm_images(params, G, D)))
+                self.assert_decides(G, params, M, D)
+
+    def test_float32_sums_lose_terms_beside_a_large_entry(self):
+        # at (1, 1)/sqrt(2) the image is (0.71, 0.71, t, ..., t) with t below
+        # half an ulp of 0.71, so a float32 sum that holds 0.71 drops every t
+        # it meets: at n = 2000 that is far more than the rest of E allows.
+        # The largest norm binds at M = 1.15, and only the float32-sum term
+        # of E keeps it inside the enclosure
+        n = 2000
+        G = np.full((n, 2), 0.2 * 2.0 ** -24)
+        G[:2] = np.eye(2)
+        D = make_directions(2, 203, "random_sphere", RandomStream(2))
+        D[:, 0] = np.sqrt(0.5)
+        self.assert_decides(G, power_params(0.0, 1.0, n), 1.15, D)
+
+    def test_decided_trials_form_no_float64_block(self, monkeypatch):
+        formed = []
+        power_sums = norms._power_sums
+
+        def spy(pairs, X, D=None, groups=None):
+            formed.append(X.dtype)
+            return power_sums(pairs, X, D, groups)
+
+        monkeypatch.setattr(norms, "_power_sums", spy)
+        rng = np.random.default_rng(11)
+        for r, p, k in [(0.0, 1.5, 2), (0.3, 1.0, 8), (0.3, 2.0, 80)]:
+            params = power_params(r, p, self.N)
+            G = rng.standard_normal((self.N, k))
+            D = make_directions(k, 203, "random_sphere", RandomStream(k))
+            M = float(np.median(lorentz_norm_images(params, G, D)))
+            dev = _max_deviation(G, params, M, D)
+            formed.clear()
+            assert _trial_passes(G, params, M, D, 1.1 * dev)
+            assert not _trial_passes(G, params, M, D, 0.9 * dev)
+            assert formed == [np.float32, np.float32]
+            formed.clear()  # at eps = dev the enclosure straddles eps
+            assert _trial_passes(G, params, M, D, dev)
+            assert np.dtype(np.float64) in formed
+
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_M_not_positive_and_finite(self, M):
+        G = np.ones((self.N, 8))
+        D = make_directions(8, 203, "random_sphere", RandomStream(8))
+        with pytest.raises(ValueError, match=f"M must be positive and finite, got {M}"):
+            _trial_passes(G, power_params(0.3, 1.5, self.N), M, D, 0.2)
+
+    def test_rejects_what_max_deviation_rejects(self):
+        params = power_params(0.3, 1.5, self.N)
+        G = np.ones((self.N, 8))
+        D = make_directions(8, 203, "random_sphere", RandomStream(8))
+        with pytest.raises(ValueError, match="expected an \\(300, m\\) matrix"):
+            _trial_passes(G[1:], params, 1.0, D, 0.2)
+        with pytest.raises(ValueError, match="expected an \\(8, m\\) matrix"):
+            _trial_passes(G, params, 1.0, D[1:], 0.2)
+        G[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _trial_passes(G, params, 1.0, D, 0.2)

@@ -3,7 +3,6 @@ import json
 import math
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -389,6 +388,18 @@ class TestVerifyEmbedding:
             assert dev == measure_distortion(G, params, M, dirs).max_rel_dev
 
 
+class TestPasses:
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_counts_the_passing_trials_of_verify_embedding(self, k):
+        # the same draws as verify_embedding, at eps on and beside each trial's
+        # deviation, where the float32 enclosure cannot decide
+        params, stream, M = power_params(0.3, 1.5, 300), RandomStream(5), 20.0
+        devs = verify_embedding(params, k, 0.5, 6, 500, stream, M=M).max_devs
+        for eps in sorted(devs) + [np.nextafter(devs[0], 0.0), 0.9 * min(devs)]:
+            assert montecarlo._passes(params, k, eps, 6, 500, stream, M) == \
+                sum(dev <= eps for dev in devs)
+
+
 class TestCalibrate:
     def test_flat_power_log_sum_near_one(self):
         grid = [(0.0, 0.0, n) for n in (100, 300, 1000, 3000)]
@@ -412,6 +423,37 @@ class TestCalibrate:
         # a name read from a --config file may be any JSON value
         with pytest.raises(ValueError, match="unknown two-sided bound \\['x'\\]"):
             calibrate(["x"], [(1,)], RandomStream(1), RandomStream(2))
+
+    def test_validation_seeds_give_different_grids(self):
+        grid = [(0.3, 0.5, 200), (0.5, 1.0, 500)]
+        a = calibrate("power_log_sum", grid, RandomStream(99), RandomStream(100))
+        b = calibrate("power_log_sum", grid, RandomStream(99), RandomStream(101))
+        assert a.details["validation_grid"] != b.details["validation_grid"]
+        assert (a.fitted_constant, a.details["ratio_min"]) == \
+            (b.fitted_constant, b.details["ratio_min"])
+        for rec in (a, b):  # within 10 % of each fit point, n a whole number
+            for fit, held in zip(grid, rec.details["validation_grid"]):
+                assert isinstance(held[2], int) and held != list(fit)
+                assert all(x / 1.1 <= y <= x * 1.1 for x, y in zip(fit, held))
+
+    def test_held_out_violations_counted(self, monkeypatch):
+        # the stub's ratio is 1 on the fit points and 2 anywhere else
+        fit = {1.0, 2.0, 4.0}
+        monkeypatch.setitem(montecarlo._RATIO_ORACLES, "stub", (("a",), lambda a, stream: (
+            1.0 if a in fit else 2.0, 1.0)))
+        rec = calibrate("stub", [(a,) for a in sorted(fit)], RandomStream(1),
+                        RandomStream(2))
+        assert rec.fitted_constant == 1.0
+        assert rec.validation_violation_rate == 1.0
+
+    def test_rejected_held_out_point_falls_back_to_its_fit_point(self):
+        # T below 1 is outside power_integral's domain: a point at T = 1 moved
+        # below it is validated at the fit point itself, and the fit still exits 0
+        grids = [calibrate("power_integral", [(0.3, 1.0), (0.3, 10.0)], RandomStream(1),
+                           RandomStream(seed)).details["validation_grid"]
+                 for seed in range(2, 8)]
+        assert [0.3, 1.0] in [grid[0] for grid in grids]
+        assert all(grid[0] == [0.3, 1.0] or grid[0][1] >= 1.0 for grid in grids)
 
     def test_refit_reproducible(self):
         grid = [(0.3, 0.5, 200), (0.3, 0.5, 500)]
@@ -460,11 +502,11 @@ class TestKSearch:
     def test_probes_and_k_star(self, pattern, k_cap, probes, k_star, monkeypatch):
         probed = []
 
-        def stub(params, k, eps, trials, directions, stream, M=None):
+        def stub(params, k, eps, trials, directions, stream, M):
             probed.append(k)
-            return SimpleNamespace(success_rate=0.95 if PASSES[pattern](k) else 0.5)
+            return 10 if PASSES[pattern](k) else 5  # passing trials of 10
 
-        monkeypatch.setattr(montecarlo, "verify_embedding", stub)
+        monkeypatch.setattr(montecarlo, "_passes", stub)
         rates = montecarlo._largest_successful_k(None, 0.2, 10, 10, 0.9,
                                                  RandomStream(0), 1.0, k_cap)
         assert tuple(probed) == probes
