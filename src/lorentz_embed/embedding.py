@@ -84,18 +84,18 @@ def _deviation(low, high, M: float):
 
 def _trial_passes(G: np.ndarray, params: LorentzParams, M: float,
                   directions: np.ndarray, eps: float) -> bool:
-    """_max_deviation(G, params, M, directions) <= eps, bitwise. For p in
-    {1, 3/2, 2} and k >= 2, norms._screen summed in float32 encloses the
-    float64 extreme norms, l0 <= low <= l1 and h0 <= high <= h1; only where
-    the deviation's enclosure straddles eps, or is not finite, is it formed."""
+    """_max_deviation(G, params, M, directions) <= eps, bitwise. For k >= 2,
+    where norms._screen gives bounds, they enclose the float64 extreme norms,
+    l0 <= low <= l1 and h0 <= high <= h1; only where the deviation's
+    enclosure straddles eps, or without bounds, is it formed."""
     _check_M(M)
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
-    if params.p in (1.0, 1.5, 2.0) and G.shape[1] >= 2:
-        lower, upper = _screen(params, G, directions, np.float32)
+    bounds = _screen(params, G, directions) if G.shape[1] >= 2 else None
+    if bounds is not None:
+        lower, upper = bounds
         l0, l1, h0, h1 = np.min(lower), np.min(upper), np.max(lower), np.max(upper)
-        if (np.isfinite([l0, l1, h0, h1]).all()
-                and not _deviation(l1, h0, M) <= eps < _deviation(l0, h1, M)):
+        if not _deviation(l1, h0, M) <= eps < _deviation(l0, h1, M):
             return bool(_deviation(l1, h0, M) <= eps)
     return _max_deviation(G, params, M, directions) <= eps
 

@@ -166,9 +166,9 @@ def verify_embedding(params: LorentzParams, k: int, eps: float, trials: int,
     M defaults to the empirical median of |X|_{w,p} over MEDIAN_SAMPLES samples
     from stream.substream(0); a given M is checked first. The draws are
     _trial_draws'; each trial's max deviation is embedding._max_deviation's,
-    exact, since the one caller in the package, `verify --kind embedding`,
-    reports its quantiles. The k-searches of calibrate and probe take _passes.
-    """
+    exact (the float32 screen only picks its blocks), since `verify --kind
+    embedding` reports its quantiles. The k-searches of calibrate and probe
+    take _passes, which that screen decides where it can."""
     _check_eps(eps)
     _check_counts(trials=trials, directions=directions)
     _check_k(params.n, k)

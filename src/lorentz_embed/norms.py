@@ -147,8 +147,8 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
     c[0]. The other pairs share one ascending sort of the rows, so the
     largest len(c) entries of a vector are the tail of its row. A pair with
     q != 1 powers A in place if it comes last with whole rows, else a copy.
-    A block is summed in its coefficients' dtype: float32 ones take a float32
-    GEMV, float64 ones sum a float32 block's powers in float64."""
+    A float32 block, whose coefficients are float32 too, is summed by one
+    float32 GEMV, flat or not."""
     n, last = A.shape[1], len(pairs) - 1
     order = sorted(range(len(pairs)), key=lambda j: not flat[j])
     for i, j in enumerate(order):
@@ -162,10 +162,8 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
         if flat[j] and c.dtype == np.float64:
             np.sum(top, axis=1, dtype=float, out=out[rows])
             out[rows] *= c[0]
-        elif top.dtype == c.dtype:  # BLAS needs the copy; float64 keeps its bits
+        else:  # BLAS needs the copy; float64 keeps its bits
             out[rows] = top @ (c[::-1].copy() if c.dtype == np.float32 else c[::-1])
-        else:
-            np.einsum("ij,j->i", top, c[::-1], dtype=float, out=out[rows])
 
 
 def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list,
@@ -253,17 +251,19 @@ def lorentz_norm_images(params: LorentzParams, G: np.ndarray,
     return _power_sums([(params.weights, params.p)], G, directions)[0] ** (1.0 / params.p)
 
 
-def _screen(params: LorentzParams, G: np.ndarray, directions: np.ndarray,
-            dtype) -> tuple:
-    """(N - E, N + E), p in {1, 3/2, 2}: N is each image norm formed on the
-    kernel in float32 and summed in dtype; E bounds its distance from the exact
-    and the float64 norm (Higham 2002, ch. 3) by gamma_{k+2} |theta|_2
-    |(|G_i|_2)_i|_p for the product (a norm below |.|_p), gamma_2 at 2^-24 and
-    gamma_{n+8} at 2^-53 of N / p for the powers and float64 sums, underflow,
-    and for float32 sums in any order gamma_{n+2} at 2^-24 of N / p (w_1 = 1
-    bounds a subnormal coefficient's rounding), doubled for second order."""
+def _screen(params: LorentzParams, G: np.ndarray, directions: np.ndarray):
+    """(N - E, N + E), or None for p not in {1, 3/2, 2} or a bound not finite.
+    N is each image norm formed on the kernel in float32, float32 sums too; E
+    bounds its distance from the exact and the float64 norm (Higham 2002,
+    ch. 3) by gamma_{k+2} |theta|_2 |(|G_i|_2)_i|_p for the product (a norm
+    below |.|_p), gamma_2 and gamma_{n+2} at 2^-24 of N / p for the powers and
+    the sums in any order (w_1 = 1 bounds a subnormal coefficient's rounding),
+    2 gamma_{n+8} at 2^-53 of N / p for the float64 norm, and underflow, all
+    doubled for second order."""
     (n, k), p = G.shape, params.p
-    sums = _power_sums([(params.weights.astype(dtype, copy=False), p)],
+    if p not in (1.0, 1.5, 2.0):
+        return None
+    sums = _power_sums([(params.weights.astype(np.float32), p)],
                        G.astype(np.float32), directions)[0]
     cols = np.sqrt(np.einsum("ij,ij->j", directions, directions))
     lp = np.linalg.norm(np.sqrt(np.einsum("ij,ij->i", G, G)), p)
@@ -275,30 +275,29 @@ def _screen(params: LorentzParams, G: np.ndarray, directions: np.ndarray,
     with np.errstate(all="ignore"):
         N = sums ** (1.0 / p)
         E = 2.0 * ((gamma(k + 2, u32) + gamma(k + 2, u64)) * cols * lp
-                   + (gamma(2, u32) + 2.0 * gamma(n + 8, u64)
-                      + gamma(n + 2, u32 if dtype == np.float32 else 0.0)) * N / p
+                   + (gamma(2, u32) + 2.0 * gamma(n + 8, u64) + gamma(n + 2, u32)) * N / p
                    + n ** (1.0 / p) * k * (max(G.max(), -G.min()) + cols + 1.0)
                    * 2.0 ** -149 + (n * 2.0 ** -147) ** (1.0 / p))
-        return N - E, N + E
+        lower, upper = N - E, N + E
+    return (lower, upper) if np.isfinite([lower, upper]).all() else None
 
 
 def _image_norm_range(params: LorentzParams, G: np.ndarray, directions: np.ndarray):
     """The float64 (min, max) of lorentz_norm_images(params, G, directions),
-    bitwise. For p in {1, 3/2, 2}, more than two blocks and k > 2 (at k = 2
-    the directions near an extreme fill most blocks), _screen summed in
-    float64 picks the blocks formed as in the full call, those with a
-    direction with N + E >= max(N - E) or N - E <= min(N + E); the others
-    read NaN. Elsewhere, or if its bounds are not finite, all are formed."""
+    bitwise. With more than two blocks and k > 3 (at k = 3 the directions
+    within E of an extreme fill most blocks), where _screen gives bounds,
+    only the blocks with a direction with N + E >= max(N - E) or
+    N - E <= min(N + E) are formed as in the full call; the others read NaN.
+    Elsewhere all are formed."""
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
     (n, k), p = G.shape, params.p
     blocks = _block_bounds(n, directions.shape[1])
-    if p in (1.0, 1.5, 2.0) and len(blocks) > 2 and k > 2:
-        lower, upper = _screen(params, G, directions, np.float64)
-        top, bottom = np.max(lower), np.min(upper)
-        if np.isfinite([top, bottom]).all():
-            near = (upper >= top) | (lower <= bottom)
-            blocks = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
+    bounds = _screen(params, G, directions) if len(blocks) > 2 and k > 3 else None
+    if bounds is not None:
+        lower, upper = bounds
+        near = (upper >= np.max(lower)) | (lower <= np.min(upper))
+        blocks = [(lo, hi) for lo, hi in blocks if near[lo:hi].any()]
     N = _power_sums([(params.weights, p)], G, directions, blocks)[0] ** (1.0 / p)
     return np.nanmin(N), np.nanmax(N)
 

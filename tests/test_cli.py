@@ -199,17 +199,19 @@ def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
 def test_one_worker_step_collects_every_node():
     """Each pytest node that the workflow's `taskset -c 0` step names
     collects at least one test, so that a rename cannot drop a test from the
-    one-worker run. The workflow is read as text: CI installs no YAML
-    parser."""
+    one-worker run. The step's files are collected in one run and each node
+    is matched against the ids collected. The workflow is read as text: CI
+    installs no YAML parser."""
     root = Path(__file__).parents[1]
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
     step = next(s for s in workflow.split("- name:") if "taskset -c 0" in s)
     nodes = re.findall(r"\btests/\S+", step)
     assert nodes
-    for node in nodes:  # one at a time: a node not found stops the collection
-        collected = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
-                                    "-p", "no:cacheprovider", node], cwd=root,
-                                   capture_output=True, text=True).stdout.splitlines()
+    files = sorted({node.split("::")[0] for node in nodes})
+    collected = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                                "-p", "no:cacheprovider", *files], cwd=root,
+                               capture_output=True, text=True).stdout.splitlines()
+    for node in nodes:
         assert any(line == node or line.startswith((node + "::", node + "["))
                    for line in collected), f"{node} collects no test"
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lorentz_embed import (RandomStream, estimate_median_norm, lorentz_norm,
-                           lorentz_norm_images, measure_distortion, norms,
-                           power_params, sample_gaussian_matrix)
+from lorentz_embed import (RandomStream, embedding, estimate_median_norm,
+                           lorentz_norm, lorentz_norm_images, measure_distortion,
+                           norms, power_params, sample_gaussian_matrix)
 from lorentz_embed.embedding import _max_deviation, _trial_passes
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
@@ -333,3 +333,40 @@ class TestTrialPasses:
         G[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             _trial_passes(G, params, 1.0, D, 0.2)
+
+
+class TestScreenGate:
+    """Where norms._screen gives no bounds, _image_norm_range forms every
+    block and _trial_passes takes _max_deviation."""
+
+    N = 300
+
+    @pytest.mark.parametrize("p, scale", [(4.0, 1.0), (0.5, 1.0), (2.0, 1e20)])
+    def test_no_bounds_forms_every_block(self, p, scale, monkeypatch):
+        # p outside {1, 3/2, 2}, or images near 1e20 whose float32 squares
+        # overflow
+        monkeypatch.setattr(norms, "BLOCK_ENTRIES", 8 * self.N)
+        params = power_params(0.3, p, self.N)
+        G = np.random.default_rng(3).standard_normal((self.N, 8)) * scale
+        D = make_directions(8, 203, "random_sphere", RandomStream(9))
+        assert norms._screen(params, G, D) is None
+
+        formed, exact = [], []
+        power_sums, max_deviation = norms._power_sums, embedding._max_deviation
+
+        def spy_sums(pairs, X, D=None, groups=None):
+            formed.append((X.dtype, groups))
+            return power_sums(pairs, X, D, groups)
+
+        def spy_deviation(*args):
+            exact.append(max_deviation(*args))
+            return exact[-1]
+
+        monkeypatch.setattr(norms, "_power_sums", spy_sums)
+        monkeypatch.setattr(embedding, "_max_deviation", spy_deviation)
+        norms._image_norm_range(params, G, D)
+        assert formed[-1] == (np.float64, norms._block_bounds(self.N, 203))
+        M = float(np.median(lorentz_norm_images(params, G, D)))
+        dev = max_deviation(G, params, M, D)
+        assert _trial_passes(G, params, M, D, 1.1 * dev)  # bounds would decide it
+        assert exact == [dev]

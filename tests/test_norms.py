@@ -522,6 +522,26 @@ class TestImageNormRange:
         self.assert_range(params, G, make_directions(8, 203, "random_sphere",
                                                      RandomStream(9)))
 
+    def test_float32_sums_lose_terms_beside_large_entries(self):
+        # column 0 of G is 16 ones and then t, below half an ulp of 1 in
+        # float32; a float32 GEMV that starts each partial sum with a one
+        # drops every t, so at p = 1 the image of e_0 has the norm
+        # 16 + 1984 t in float64 and 16 in float32. Column 1 shares the ones
+        # and adds d, at 80 units of 2^-24 of 16: its float32 norm is above
+        # e_0's by more than the rest of E spans (about 42 of those units),
+        # its float64 norm below it (123 units). Only the float32-sum term of
+        # E keeps block 0, which holds the largest norm
+        n = 2000
+        G = np.zeros((n, 4))
+        G[:16, :2] = 1.0
+        G[16:, 0] = 127 * 2.0 ** -31
+        G[16, 1] = 5 * 2.0 ** -16
+        # e_0 fills block 0 of the 5, e_1 block 1, and e_2, whose image is 0,
+        # the rest
+        D = np.zeros((4, 10))
+        D[0, :2] = D[1, 2:4] = D[2, 4:] = 1.0
+        self.assert_range(power_params(0.0, 1.0, n), G, D)
+
 
 class TestPowerSumPairs:
     @pytest.mark.parametrize("pairs", [
