@@ -68,13 +68,23 @@ class DistortionReport:
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
 
+def _euclidean(params: LorentzParams) -> bool:
+    """Flat weights and p = 2, where |x|_{w,p} = |x|_2 (w_1 = 1)."""
+    return params.p == 2.0 and bool(np.all(params.weights == 1.0))
+
+
 def _max_deviation(G: np.ndarray, params: LorentzParams, M: float,
                    directions: np.ndarray) -> float:
     """measure_distortion(G, params, M, directions).max_rel_dev, bitwise: for
     M > 0, x / M - 1 is two correctly rounded steps that never decrease in x,
-    and fl(1 - y) = -fl(y - 1), so the smallest or largest norm gives it."""
+    and fl(1 - y) = -fl(y - 1), so the smallest or largest norm gives it.
+    Where _euclidean(params), the max over the whole sphere instead, from
+    sigma_k and sigma_1 of G, the inf and sup of |G theta|_2 there."""
     _check_M(M)
-    return float(_deviation(*_image_norm_range(params, G, directions), M))
+    if not _euclidean(params):
+        return float(_deviation(*_image_norm_range(params, G, directions), M))
+    sigma = np.linalg.svd(_checked(params.n, G, (2,)), compute_uv=False)
+    return float(_deviation(sigma[-1], sigma[0], M))
 
 
 def _deviation(low, high, M: float):
@@ -85,13 +95,13 @@ def _deviation(low, high, M: float):
 def _trial_passes(G: np.ndarray, params: LorentzParams, M: float,
                   directions: np.ndarray, eps: float) -> bool:
     """_max_deviation(G, params, M, directions) <= eps, bitwise. For k >= 2,
-    where norms._screen gives bounds, they enclose the float64 extreme norms,
-    l0 <= low <= l1 and h0 <= high <= h1; only where the deviation's
-    enclosure straddles eps, or without bounds, is it formed."""
+    unless _euclidean(params), where norms._screen gives bounds, they enclose
+    the float64 extreme norms, l0 <= low <= l1 and h0 <= high <= h1; only
+    where the deviation's enclosure straddles eps, or without bounds, is it formed."""
     _check_M(M)
     G = _checked(params.n, G, (2,))
     directions = _checked(G.shape[1], directions, (2,))
-    bounds = _screen(params, G, directions) if G.shape[1] >= 2 else None
+    bounds = None if G.shape[1] < 2 or _euclidean(params) else _screen(params, G, directions)
     if bounds is not None:
         lower, upper = bounds
         l0, l1, h0, h1 = np.min(lower), np.min(upper), np.max(lower), np.max(upper)

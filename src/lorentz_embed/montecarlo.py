@@ -21,6 +21,11 @@ from .streams import RandomStream
 
 # chunk sizes are fixed so that results never depend on worker count
 TRIAL_CHUNK = 200
+# entries of one slab of a sampled chunk: a thread that only samples holds
+# one slab of at least 2 rows, 480 KB at n = 10^4, not a 2 MB block of
+# columns or images. At 2^15 the embedding commands' peak RSS rose 2 % (at
+# 2^16, 0.3 %) and the median of 10^4 samples at n = 2000 ran 5-10 % slower
+SLAB_ENTRIES = 2 ** 16
 BOOTSTRAP_RESAMPLES = 1000  # replicates of the probe's slope CI
 Z95 = 1.959963984540054  # standard normal 0.975 quantile
 # the k-searches: least success rate of a passing k, and the calibration's
@@ -51,9 +56,10 @@ def _sample_power_sums(pairs: list, n: int, samples: int,
     for each (c, q) in pairs]. Sample s is row s mod TRIAL_CHUNK of chunk
     c = s // TRIAL_CHUNK, the C-ordered draw of stream.substream(c), whose
     generator is made here, in the calling thread. Each chunk is one task of
-    norms._blocked_sums, which draws the chunk's blocks one after another
-    into its thread's block buffer, so they hold the values of the whole
-    draw."""
+    norms._blocked_sums, which draws the chunk in slabs of at most
+    SLAB_ENTRIES entries (at least 2 rows), one after another into its
+    thread's block buffer, so they hold the values of the whole draw, and
+    sums each row whole: the slabs move no sum."""
     starts = range(0, samples, TRIAL_CHUNK)
     generators = [stream.substream(c).generator() for c in range(len(starts))]
 
@@ -61,7 +67,8 @@ def _sample_power_sums(pairs: list, n: int, samples: int,
         np.abs(generators[start // TRIAL_CHUNK].standard_normal(out=A), out=A)
 
     return _blocked_sums(pairs, n, samples, fill,
-                         [(s, min(s + TRIAL_CHUNK, samples)) for s in starts])
+                         [(s, min(s + TRIAL_CHUNK, samples)) for s in starts],
+                         SLAB_ENTRIES)
 
 
 def _estimate_median(params: LorentzParams, samples: int, stream: RandomStream,

@@ -76,13 +76,15 @@ def _power_in_place(A: np.ndarray, q: float):
         np.power(A, q, out=A)
 
 
-def _block_bounds(n: int, m: int) -> list:
+def _block_bounds(n: int, m: int, entries: int | None = None) -> list:
     """(start, stop) of the blocks of m vectors of length n: as few as keep
-    each within BLOCK_ENTRIES entries, of near-equal widths, each at least 2
-    wide unless m is 1, since the image of one direction is a GEMV product,
-    which may differ in the last bit from the rows of a GEMM of two or more.
-    They depend on n and m only, never on the worker count."""
-    blocks = min(-(-m // max(2, BLOCK_ENTRIES // n)), max(1, m // 2))
+    each within entries (BLOCK_ENTRIES if None) entries, of near-equal
+    widths, each at least 2 wide unless m is 1, since the image of one
+    direction is a GEMV product, which may differ in the last bit from the
+    rows of a GEMM of two or more. They depend on n, m and entries only,
+    never on the worker count."""
+    entries = BLOCK_ENTRIES if entries is None else entries
+    blocks = min(-(-m // max(2, entries // n)), max(1, m // 2))
     return [(j * m // blocks, (j + 1) * m // blocks) for j in range(blocks)]
 
 
@@ -167,21 +169,22 @@ def _row_sums(pairs: list, flat: list, A: np.ndarray, outs: list, rows: slice):
 
 
 def _blocked_sums(pairs: list, n: int, m: int, fill, groups: list,
-                  dtype=np.float64) -> list:
+                  entries: int, dtype=np.float64) -> list:
     """The sums of _power_sums for the vectors in groups, of m vectors Y of
     length n, and NaN for the others. Each (start, stop) in groups is one
     task on _run_tasks, which takes those vectors in the blocks of
-    _block_bounds(n, stop - start): fill(lo, hi, A) writes |Y| of vectors lo
-    to hi as the rows of A, a C-ordered view in dtype of the thread's block
-    buffer, and _row_sums sums them there. A row's sums do not depend on its
-    block's height, so results never depend on the worker count. Each task
-    keeps its np.errstate; a float64 block whose sums overflow raises."""
+    _block_bounds(n, stop - start, entries): fill(lo, hi, A) writes |Y| of
+    vectors lo to hi as the rows of A, a C-ordered view in dtype of the
+    thread's block buffer, and _row_sums sums them there. A row's sums do not
+    depend on its block's height, so results never depend on the worker count
+    or on entries. Each task keeps its np.errstate; a float64 block whose
+    sums overflow raises."""
     flat = [c.size == n and bool(np.all(c == c[0])) for c, _ in pairs]
     outs = [np.full(m, np.nan) for _ in pairs]
 
     def task(start: int, stop: int):
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in _block_bounds(n, stop - start):
+            for lo, hi in _block_bounds(n, stop - start, entries):
                 size, rows = n * (hi - lo), slice(start + lo, start + hi)
                 A = _buffers.take(size).view(dtype)[:size].reshape(hi - lo, n)
                 fill(start + lo, start + hi, A)
@@ -223,7 +226,8 @@ def _power_sums(pairs: list, X: np.ndarray, D: np.ndarray | None = None,
             np.abs(np.matmul(block, X.T, out=A), out=A)
 
     return _blocked_sums(pairs, n, m, fill,
-                         _block_bounds(n, m) if groups is None else groups, X.dtype)
+                         _block_bounds(n, m) if groups is None else groups,
+                         BLOCK_ENTRIES, X.dtype)
 
 
 def _evaluate(n: int, x, pair: tuple, power: float = 1.0):

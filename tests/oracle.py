@@ -1,6 +1,7 @@
 """Naive reference for the weighted power sums behind every column kernel,
-the deterministic matrix fixture of the embedding tests and the weights of
-the screened-extremes tests."""
+the deviation over the whole sphere at flat weights and p = 2, the
+deterministic matrix fixture of the embedding tests and the weights of the
+screened-extremes tests."""
 
 import math
 
@@ -17,6 +18,13 @@ def weighted_power_sum(coeffs, x, q):
     """
     xs = sorted((abs(float(v)) for v in x), reverse=True)
     return math.fsum(float(c) * v ** q for c, v in zip(coeffs, xs))
+
+
+def sphere_deviation_l2(G, M):
+    """sup over unit theta of | |G theta|_2 / M - 1 |, from the extreme
+    singular values sigma_1 and sigma_k of G."""
+    sigma = np.linalg.svd(G, compute_uv=False)
+    return max(sigma[0] / M - 1.0, 1.0 - sigma[-1] / M)
 
 
 def identity_injection(n, k, stream=None):

@@ -138,7 +138,7 @@ REPORT_SHA256 = {
     "verify --kind orderorder --case I --r 0.3 --p 2 --n 10000 --t 3 --seed 1":
         "77352c1d6e8a89c8c5868eaa91c0d9ad8c38408184ca0d6e29be58fb650b7779",
     "probe --r 0 --p 2 --n 100 --eps-grid 0.17,0.2,0.24,0.28 --seed 33":
-        "2faf08fd707e7a1d1ccd24dcb0dcb72bbb194d98273a286ed1b16d570634a5ae",
+        "c717fd5c266ae81a8566dc5a25d1544f8195a3bd969a4bcc00c00ea9ec188379",
     "probe --r 0 --p 2 --n 30 --eps-grid 0.06,0.07,0.08,0.09 --trials 5 "
     "--directions 50 --seed 1":
         "ee40f36501926f1764d2ad35c78eeb1ad7589c0cc2c1d2bfb21c5fe06e8eb9ca",

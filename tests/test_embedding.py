@@ -8,7 +8,7 @@ from lorentz_embed import (RandomStream, embedding, estimate_median_norm,
 from lorentz_embed.embedding import _max_deviation, _trial_passes
 # alias: pytest would otherwise collect the library function as a test
 from lorentz_embed import test_directions as make_directions
-from oracle import identity_injection, weighted_params
+from oracle import identity_injection, sphere_deviation_l2, weighted_params
 
 
 class TestRandomStream:
@@ -160,7 +160,8 @@ class TestMeasureDistortion:
 
 
 class TestMaxDeviation:
-    """_max_deviation is bitwise measure_distortion(...).max_rel_dev."""
+    """_max_deviation is bitwise measure_distortion(...).max_rel_dev, except
+    at flat weights and p = 2, where it is the deviation over the sphere."""
 
     N = 300
 
@@ -184,7 +185,8 @@ class TestMaxDeviation:
             for m in (1, 9, 20, 203):
                 D = make_directions(k, m, "random_sphere", RandomStream(m + k))
                 M = self.median_M(params, G, D)
-                want = measure_distortion(G, params, M, D).max_rel_dev
+                want = (sphere_deviation_l2(G, M) if (weights, p) == ("flat", 2.0)
+                        else measure_distortion(G, params, M, D).max_rel_dev)
                 assert _max_deviation(G, params, M, D) == want, (k, m)
 
     @pytest.mark.parametrize("tie", ["mirror", 1e-9, 1e-7])
@@ -245,6 +247,28 @@ class TestMaxDeviation:
         G[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             _max_deviation(G, params, 1.0, D)
+
+
+class TestSphereDeviationL2:
+    """At flat weights and p = 2, a trial's deviation and decision come from
+    sigma_1 and sigma_k of G: no sampled direction deviates further."""
+
+    N = 300
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 80])
+    def test_bounds_every_sampled_deviation(self, k):
+        params = power_params(0.0, 2.0, self.N)
+        G = np.random.default_rng(k).standard_normal((self.N, k))
+        D = make_directions(k, 2000, "random_sphere", RandomStream(k))
+        N = lorentz_norm_images(params, G, D)
+        for M in (np.min(N), np.median(N), np.max(N)):
+            exact = sphere_deviation_l2(G, M)
+            sampled = measure_distortion(G, params, M, D).max_rel_dev
+            assert _max_deviation(G, params, M, D) == exact
+            assert sampled <= exact + 1e-12 * np.max(N) / M
+            for eps in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
+                        0.999 * exact, 1.001 * exact, sampled):
+                assert _trial_passes(G, params, M, D, eps) == (exact <= eps)
 
 
 class TestTrialPasses:

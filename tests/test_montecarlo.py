@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -115,11 +116,16 @@ class TestMedianEstimators:
 
 
 class TestSampledSums:
-    # (n, samples): a short last chunk; a chunk of two 100-row slabs and a
-    # last chunk of one 50-row slab; slabs of 2 and 3 rows, the least height
-    @pytest.mark.parametrize("n, samples", [(7, 450), (2000, 250),
-                                            (norms.BLOCK_ENTRIES + 1, 5)],
-                             ids=["short-last-chunk", "two-slabs", "two-and-three-row-slabs"])
+    # (n, samples), slabs of at most SLAB_ENTRIES entries: a short last
+    # chunk; a last chunk of 1 sample; a chunk of two 100-row slabs and a
+    # last chunk of one 50-row slab; chunks of 7 and 2 slabs of 25 to 29
+    # rows; slabs of 2 rows, n just above half the bound; slabs of 2 and 3
+    # rows, the least height, n above the bound
+    @pytest.mark.parametrize("n, samples", [
+        (7, 450), (40, 201), (600, 250), (2000, 250),
+        (montecarlo.SLAB_ENTRIES // 2 + 1, 8), (montecarlo.SLAB_ENTRIES + 1, 5)],
+        ids=["short-last-chunk", "one-sample-last-chunk", "two-slabs", "multi-row-slabs",
+             "two-row-slabs", "two-and-three-row-slabs"])
     # flat; two sorted pairs, one truncated; case IVb's flat and sorted pair
     @pytest.mark.parametrize("kind", ["flat", "sorted", "IVb"])
     def test_rows_of_the_chunk_draws(self, kind, n, samples, monkeypatch):
@@ -144,10 +150,28 @@ class TestSampledSums:
                 assert got == pytest.approx(weighted_power_sum(c, x, q),
                                             rel=1e-12, abs=0.0)
 
+    def test_sampling_threads_hold_slabs_not_blocks(self, monkeypatch):
+        # case I at n = 10^4 draws its chunks in 6-row slabs: each thread that
+        # runs a chunk holds 480 KB, not a 2 MB block (Tier-1 cannot read the
+        # peak RSS, so this stands in for it)
+        held = {}
+        take = norms._WorkerBuffers.take
+
+        def spy(self, size):
+            block = take(self, size)
+            held[threading.get_ident()] = self.block.size
+            return block
+
+        monkeypatch.setattr(norms._WorkerBuffers, "take", spy)
+        monkeypatch.setattr(norms, "_buffers", norms._WorkerBuffers())
+        verify_orderorder("I", 0.3, 2.0, 10 ** 4, 3.0, 400, DEFAULT_LEDGER,
+                          RandomStream(1))
+        assert held and max(held.values()) <= montecarlo.SLAB_ENTRIES
+
     def test_callers_beyond_cores_share_no_buffer(self):
         # four callers share the kernel's pool, switching threads often: a
         # slab drawn into a buffer that another task also holds would mix
-        # their samples (n 2000: chunks of two slabs)
+        # their samples (n 2000: chunks of 7 slabs)
         i = np.arange(1, 2001.0)
         cases = [([(coeffs, 1.5)], RandomStream(seed))
                  for coeffs in (np.full(2000, 0.7), i ** -0.3) for seed in (1, 2)]
@@ -539,7 +563,7 @@ class TestScalingProbe:
         assert set(d) >= {"eps_grid", "k_stars", "slope", "slope_ci_low",
                           "slope_ci_high", "inconclusive", "saturated"}
         # the exact result pins the bootstrap's draw order; k* = 0 is left out of the fit
-        assert res.k_stars == (0, 2, 3, 7)
-        assert res.slope == 2.363893679110289
-        assert (res.slope_ci_low, res.slope_ci_high) == (2.0723230629303306,
-                                                         2.6221272687962167)
+        assert res.k_stars == (0, 2, 3, 6)
+        assert res.slope == 2.0723230629303306
+        assert (res.slope_ci_low, res.slope_ci_high) == (1.3054000007482458,
+                                                         2.1289968067159237)
