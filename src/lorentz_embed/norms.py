@@ -263,7 +263,8 @@ def _screen(params: LorentzParams, G: np.ndarray, directions: np.ndarray):
     below |.|_p), gamma_2 and gamma_{n+2} at 2^-24 of N / p for the powers and
     the sums in any order (w_1 = 1 bounds a subnormal coefficient's rounding),
     2 gamma_{n+8} at 2^-53 of N / p for the float64 norm, and underflow, all
-    doubled for second order."""
+    doubled for second order. The model needs correctly rounded powers, hence
+    the p allowed; norms are compared directly, so E needs no M."""
     (n, k), p = G.shape, params.p
     if p not in (1.0, 1.5, 2.0):
         return None

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -180,12 +179,13 @@ GRID_FILES = {"log_sum.json": [[0, 0, 100], [0.5, 1, 1000], [2, 1, 10000]],
               "median_psi.json": [[0.3, 1.5, 100], [0.5, 2, 300], [1.2, 1.1, 50]]}
 
 
+@pytest.mark.usefixtures("kernel_workers")
 @pytest.mark.parametrize("command", REPORT_SHA256)
 def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
-    """The report of each command holds the same bytes as when it was pinned.
-    The digests hold for numpy 2.4.6, as reports/ does; the weights and grid
-    files are given by relative paths because the paths are echoed in the
-    config."""
+    """The report of each command holds the same bytes as when it was pinned,
+    at the default kernel worker count and at one. The digests hold for
+    numpy 2.4.6, as reports/ does; the weights and grid files are given by
+    relative paths because the paths are echoed in the config."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weights.txt").write_text("1\n0.5\n0.25\n0.125\n")
     for name, grid in GRID_FILES.items():
@@ -194,26 +194,6 @@ def test_report_bytes_pinned(command, tmp_path, monkeypatch, capsys):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[command]
-
-
-def test_one_worker_step_collects_every_node():
-    """Each pytest node that the workflow's `taskset -c 0` step names
-    collects at least one test, so that a rename cannot drop a test from the
-    one-worker run. The step's files are collected in one run and each node
-    is matched against the ids collected. The workflow is read as text: CI
-    installs no YAML parser."""
-    root = Path(__file__).parents[1]
-    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
-    step = next(s for s in workflow.split("- name:") if "taskset -c 0" in s)
-    nodes = re.findall(r"\btests/\S+", step)
-    assert nodes
-    files = sorted({node.split("::")[0] for node in nodes})
-    collected = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
-                                "-p", "no:cacheprovider", *files], cwd=root,
-                               capture_output=True, text=True).stdout.splitlines()
-    for node in nodes:
-        assert any(line == node or line.startswith((node + "::", node + "["))
-                   for line in collected), f"{node} collects no test"
 
 
 class TestReproducibility:

@@ -159,6 +159,7 @@ class TestMeasureDistortion:
             measure_distortion(G, power_params(0.0, 2.0, 5), 0.0, dirs)
 
 
+@pytest.mark.usefixtures("kernel_workers")
 class TestMaxDeviation:
     """_max_deviation is bitwise measure_distortion(...).max_rel_dev, except
     at flat weights and p = 2, where it is the deviation over the sphere."""
@@ -249,6 +250,7 @@ class TestMaxDeviation:
             _max_deviation(G, params, 1.0, D)
 
 
+@pytest.mark.usefixtures("kernel_workers")
 class TestSphereDeviationL2:
     """At flat weights and p = 2, a trial's deviation and decision come from
     sigma_1 and sigma_k of G: no sampled direction deviates further."""
@@ -271,6 +273,7 @@ class TestSphereDeviationL2:
                 assert _trial_passes(G, params, M, D, eps) == (exact <= eps)
 
 
+@pytest.mark.usefixtures("kernel_workers")
 class TestTrialPasses:
     """_trial_passes is bitwise _max_deviation(...) <= eps, and forms float64
     blocks only where its float32 enclosure cannot decide."""
@@ -359,6 +362,7 @@ class TestTrialPasses:
             _trial_passes(G, params, 1.0, D, 0.2)
 
 
+@pytest.mark.usefixtures("kernel_workers")
 class TestScreenGate:
     """Where norms._screen gives no bounds, _image_norm_range forms every
     block and _trial_passes takes _max_deviation."""

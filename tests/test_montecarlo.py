@@ -150,6 +150,7 @@ class TestSampledSums:
                 assert got == pytest.approx(weighted_power_sum(c, x, q),
                                             rel=1e-12, abs=0.0)
 
+    @pytest.mark.usefixtures("kernel_workers")
     def test_sampling_threads_hold_slabs_not_blocks(self, monkeypatch):
         # case I at n = 10^4 draws its chunks in 6-row slabs: each thread that
         # runs a chunk holds 480 KB, not a 2 MB block (Tier-1 cannot read the
@@ -189,6 +190,34 @@ class TestSampledSums:
             sys.setswitchinterval(interval)
         for want, got in zip(expected, results):
             assert all(np.array_equal(want, g) for g in got)
+
+
+class TestKernelWorkers:
+    @pytest.mark.parametrize("call", ["power_sums", "sample_power_sums", "passes"])
+    def test_one_worker_sums_every_block_on_the_caller(self, call, kernel_workers,
+                                                       monkeypatch):
+        # kernel_workers at one must run the kernel as one CPU does: each of
+        # these calls, of several tasks (5 column blocks, 3 chunks, 2 trials
+        # of 16 image blocks), sums every block on the calling thread; at
+        # more workers, none there
+        threads = []
+        row_sums = norms._row_sums
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return row_sums(*args)
+
+        monkeypatch.setattr(norms, "_row_sums", spy)
+        params, stream = power_params(0.3, 1.5, 2000), RandomStream(1)
+        pairs = [(params.weights, params.p)]
+        {"power_sums": lambda: norms._power_sums(pairs, np.ones((2000, 600))),
+         "sample_power_sums": lambda: montecarlo._sample_power_sums(pairs, 2000, 450,
+                                                                    stream),
+         "passes": lambda: montecarlo._passes(params, 8, 0.2, 2, 2000, stream, 40.0),
+         }[call]()
+        assert len(threads) > 2
+        caller = threading.get_ident()
+        assert set(threads) == {caller} if kernel_workers == 1 else caller not in threads
 
 
 class TestVerifyOrderOrder:
@@ -384,6 +413,7 @@ class TestVerifyEmbedding:
             G = sample_gaussian_matrix(2000, 8, stream.substream(2 + trial))
             assert dev == measure_distortion(G, params, M, dirs).max_rel_dev
 
+    @pytest.mark.usefixtures("kernel_workers")
     @pytest.mark.parametrize("p", [1.5, 4.0])
     @pytest.mark.parametrize("weights", ["flat", "power", "file"])
     def test_k1_takes_the_two_unit_directions(self, weights, p, tmp_path, monkeypatch):
@@ -412,6 +442,7 @@ class TestVerifyEmbedding:
             assert dev == measure_distortion(G, params, M, dirs).max_rel_dev
 
 
+@pytest.mark.usefixtures("kernel_workers")
 class TestPasses:
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_counts_the_passing_trials_of_verify_embedding(self, k):

@@ -490,6 +490,7 @@ class TestImageNormRange:
                 self.assert_range(params, G, make_directions(
                     k, m, "random_sphere", RandomStream(m + k)))
 
+    @pytest.mark.usefixtures("kernel_workers")
     @pytest.mark.parametrize("tie", ["mirror", 1e-9, 1e-7])
     @pytest.mark.parametrize("r, p", [(0.0, 1.5), (0.3, 1.5), (0.3, 2.0), (0.5, 1.0)])
     def test_near_ties_at_both_extremes(self, tie, r, p):
@@ -515,6 +516,7 @@ class TestImageNormRange:
                                   np.sin(a) * theta[0] + np.cos(a) * theta[1])
         self.assert_range(params, G, D)
 
+    @pytest.mark.usefixtures("kernel_workers")
     def test_float32_overflow_takes_the_float64_pass(self):
         # images near 1e20 square past float32's range, not float64's
         params = power_params(0.3, 2.0, self.N)
@@ -522,6 +524,7 @@ class TestImageNormRange:
         self.assert_range(params, G, make_directions(8, 203, "random_sphere",
                                                      RandomStream(9)))
 
+    @pytest.mark.usefixtures("kernel_workers")
     def test_float32_sums_lose_terms_beside_large_entries(self):
         # column 0 of G is 16 ones and then t, below half an ulp of 1 in
         # float32; a float32 GEMV that starts each partial sum with a one
